@@ -1,11 +1,11 @@
 //! # Reduced Ordered Binary Decision Diagrams
 //!
-//! The BDD substrate of the MIG suite: a complement-edge ROBDD manager
-//! ([`Bdd`]), static variable-ordering heuristics ([`reorder`]), a
-//! BDS-style decomposition flow ([`bds_optimize`]) reproducing the
-//! paper's "BDD Decomposition" baseline, and BDD-based combinational
-//! equivalence checking ([`check_equivalence`]) used to verify every
-//! optimization engine in the workspace.
+//! A complement-edge ROBDD manager ([`Bdd`]), static variable-ordering
+//! heuristics ([`reorder`]) and a BDS-style decomposition flow
+//! ([`bds_optimize`]) written for the paper's "BDD Decomposition"
+//! baseline column. Nothing else in the workspace uses this crate, and
+//! it is not an equivalence checker: every verdict goes through
+//! `mig_sim`.
 //!
 //! # Example
 //!
@@ -21,9 +21,7 @@
 
 mod bdd;
 pub mod decompose;
-mod equiv;
 pub mod reorder;
 
 pub use crate::bdd::{Bdd, BddRef};
 pub use decompose::{bds_optimize, build_network_bdds, decompose_to_network};
-pub use equiv::check_equivalence;

@@ -117,7 +117,7 @@
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mig_core::{Budget, Flow, LevelStats, Mig, OptContext, RewriteConfig, SimSpotCheck};
+use mig_core::{Budget, Flow, LevelStats, Mig, OptContext, RewriteConfig};
 use mig_techmap::{map_mig, CellLibrary, MapConfig};
 
 /// The canonical default flow: the v3 harness's fixed size → rewrite →
@@ -311,8 +311,13 @@ pub struct MemRecord {
     pub strash_bytes: usize,
     /// Cut-cache entries held by the shared rewrite cache.
     pub cache_entries: usize,
-    /// Peak resident set size of the process (`VmHWM`), in bytes; 0
-    /// where `/proc/self/status` is unavailable. Machine- and
+    /// Peak resident set size (`VmHWM`) while this record ran, in bytes;
+    /// 0 where `/proc/self/status` is unavailable. The high-water mark
+    /// is reset to the current resident size before each record, so an
+    /// earlier, larger record's peak no longer carries over; memory the
+    /// process still holds from earlier records (allocator caches, the
+    /// shared context's buffers) does count. Where the kernel refuses
+    /// the reset, this is the process peak so far. Machine- and
     /// run-volatile: excluded from every bit-identity comparison.
     pub peak_rss_bytes: u64,
 }
@@ -570,6 +575,13 @@ fn peak_rss_bytes() -> u64 {
         .map_or(0, |kb| kb * 1024)
 }
 
+/// Resets `VmHWM` to the current resident set size (Linux `clear_refs`
+/// code 5), so the next [`peak_rss_bytes`] reading covers only what ran
+/// in between. Failure (non-Linux, restricted `/proc`) is ignored.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 /// The tier name lists a configuration resolves to: `(mcnc, large)`.
 fn resolve_names(config: &BenchConfig) -> (Vec<String>, Vec<String>) {
     let want_mcnc = matches!(config.suite.as_str(), "mcnc" | "all");
@@ -634,6 +646,7 @@ fn run_large(
     rounds: usize,
     ctx: &mut OptContext,
 ) -> LargeRecord {
+    reset_peak_rss();
     let net = mig_benchgen::generate(name)
         .unwrap_or_else(|| panic!("unknown benchmark `{name}` (see `mighty list`)"));
     let mig = Mig::from_network(&net);
@@ -707,7 +720,7 @@ pub fn run_suite(config: &BenchConfig) -> BenchReport {
     let mut ctx = OptContext::with_jobs(config.jobs);
     ctx.set_budget(config.budget());
     if config.selfcheck {
-        ctx.set_spot_check(Box::new(SimSpotCheck::new(rounds)));
+        ctx.set_spot_check(rounds);
     }
     let mut benchmarks = Vec::new();
     for name in &names {

@@ -310,7 +310,9 @@ mod tests {
     fn tt_of(mig: &Mig, s: Signal) -> TruthTable {
         let mut m = mig.clone();
         m.add_output("probe", s);
-        m.truth_tables().pop().expect("one output")
+        mig_sim::output_truth_tables(&m.to_network())
+            .pop()
+            .expect("one output")
     }
 
     fn setup() -> (Mig, Signal, Signal, Signal, Signal) {

@@ -67,8 +67,7 @@ pub use opt::{
     ActivityOptConfig, ActivityPass, Budget, Cost, CutSet, DepthOptConfig, DepthPass, EGraph, ELit,
     EnumeratedCut, EsatConfig, EsatPass, EsatRule, EsatStats, Flow, FlowStep, MapPass,
     MappedMetrics, Objective, OptContext, Pass, PassKind, PassMetrics, PassOutcome, PassReport,
-    Repeat, RewriteConfig, RewritePass, SimSpotCheck, SizeOptConfig, SizePass, SpotCheck,
-    StopReason, TechModel,
+    Repeat, RewriteConfig, RewritePass, SizeOptConfig, SizePass, StopReason, TechModel,
 };
 pub use signal::{NodeId, Signal};
 

@@ -27,8 +27,7 @@ pub use depth::{optimize_depth, DepthOptConfig};
 pub use esat::{EGraph, ELit, EsatConfig, EsatPass, EsatRule, EsatStats, StopReason};
 pub use pipeline::{
     ActivityPass, Budget, DepthPass, Flow, FlowStep, MapPass, MappedMetrics, OptContext, Pass,
-    PassKind, PassMetrics, PassOutcome, PassReport, Repeat, RewritePass, SimSpotCheck, SizePass,
-    SpotCheck, TechModel,
+    PassKind, PassMetrics, PassOutcome, PassReport, Repeat, RewritePass, SizePass, TechModel,
 };
 pub use rewrite::{enumerate_cuts, optimize_rewrite, CutSet, EnumeratedCut, RewriteConfig};
 pub use size::{optimize_size, SizeOptConfig};

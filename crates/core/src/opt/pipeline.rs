@@ -124,7 +124,8 @@ pub enum PassOutcome {
     /// and the pre-pass checkpoint restored.
     TimedOut,
     /// The pass panicked, breached [`Budget::max_nodes`], or failed the
-    /// post-pass [`SpotCheck`]; the pre-pass checkpoint was restored.
+    /// post-pass spot check ([`OptContext::set_spot_check`]); the
+    /// pre-pass checkpoint was restored.
     RolledBack,
     /// The pass never ran: the [`Budget::total_ms`] deadline was
     /// already exhausted when its turn came.
@@ -152,54 +153,6 @@ impl PassOutcome {
 impl fmt::Display for PassOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// A post-pass sanity check the pass manager runs before accepting a
-/// pass's result: `check` compares the candidate against the pre-pass
-/// checkpoint and a `false` verdict triggers rollback.
-///
-/// Like [`TechModel`], the trait lives here so heavier simulation
-/// back-ends (e.g. the word-parallel batch simulator in `mig_sim`) can
-/// be *installed into* an [`OptContext`] from above without a crate
-/// cycle; [`SimSpotCheck`] is the built-in implementation.
-pub trait SpotCheck: std::fmt::Debug {
-    /// Checker name for ledger notes and reports.
-    fn name(&self) -> &str;
-
-    /// Whether `candidate` is an acceptable replacement for
-    /// `reference` (normally: functionally equivalent). Must be
-    /// deterministic and read-only.
-    fn check(&self, reference: &Mig, candidate: &Mig) -> bool;
-}
-
-/// The built-in [`SpotCheck`]: word-parallel simulation via
-/// [`Mig::equiv`] — exhaustive up to 16 inputs, `rounds` random
-/// 64-pattern words above that.
-#[derive(Debug, Clone, Copy)]
-pub struct SimSpotCheck {
-    /// Random simulation rounds for graphs with more than 16 inputs.
-    pub rounds: usize,
-}
-
-impl SimSpotCheck {
-    /// A spot check simulating `rounds` random words (min 1).
-    pub fn new(rounds: usize) -> Self {
-        SimSpotCheck {
-            rounds: rounds.max(1),
-        }
-    }
-}
-
-impl SpotCheck for SimSpotCheck {
-    fn name(&self) -> &str {
-        "sim"
-    }
-
-    fn check(&self, reference: &Mig, candidate: &Mig) -> bool {
-        reference.num_inputs() == candidate.num_inputs()
-            && reference.num_outputs() == candidate.num_outputs()
-            && reference.equiv(candidate, self.rounds)
     }
 }
 
@@ -329,8 +282,9 @@ pub struct OptContext {
     /// [`begin_run`](OptContext::begin_run) (every [`Flow::run`] calls
     /// it) or lazily by the first [`run_pass`](OptContext::run_pass).
     run_start: Option<Instant>,
-    /// Optional post-pass acceptance check; failures trigger rollback.
-    spot_check: Option<Box<dyn SpotCheck>>,
+    /// Random-simulation rounds of the post-pass spot check, `None`
+    /// when it is off; a failed check triggers rollback.
+    spot_check_rounds: Option<usize>,
 }
 
 impl OptContext {
@@ -412,25 +366,21 @@ impl OptContext {
         self.run_start = Some(Instant::now());
     }
 
-    /// Installs a post-pass acceptance check: after every pass, `check`
-    /// compares the result against the pre-pass checkpoint, and on a
-    /// `false` verdict the checkpoint is restored and the pass recorded
-    /// as [`RolledBack`](PassOutcome::RolledBack).
-    pub fn set_spot_check(&mut self, check: Box<dyn SpotCheck>) {
-        self.spot_check = Some(check);
+    /// Turns on the post-pass spot check: after every pass, the result
+    /// is compared with the pre-pass checkpoint by [`Mig::equiv`]
+    /// (exhaustive up to 16 inputs, `rounds` random 64-pattern words
+    /// above, min 1), and on a failed verdict the checkpoint is restored
+    /// and the pass recorded as [`RolledBack`](PassOutcome::RolledBack).
+    pub fn set_spot_check(&mut self, rounds: usize) {
+        self.spot_check_rounds = Some(rounds.max(1));
     }
 
-    /// Removes the post-pass acceptance check, returning it. Long-lived
-    /// contexts (a `mighty serve` worker reusing one context across
-    /// jobs) call this between jobs so one job's `--selfcheck` never
-    /// leaks into the next.
-    pub fn clear_spot_check(&mut self) -> Option<Box<dyn SpotCheck>> {
-        self.spot_check.take()
-    }
-
-    /// The installed post-pass acceptance check, if any.
-    pub fn spot_check(&self) -> Option<&dyn SpotCheck> {
-        self.spot_check.as_deref()
+    /// Turns the post-pass spot check off. Long-lived contexts (a
+    /// `mighty serve` worker reusing one context across jobs) call this
+    /// between jobs so one job's `--selfcheck` never leaks into the
+    /// next.
+    pub fn clear_spot_check(&mut self) {
+        self.spot_check_rounds = None;
     }
 
     /// Number of cut records currently held by the incremental rewrite
@@ -490,7 +440,7 @@ impl OptContext {
     /// This is also the pipeline's failure boundary. Before the pass
     /// runs, the input is checkpointed (a cheap arena clone); the pass
     /// executes under [`catch_unwind`], and on a panic, a breached
-    /// [`Budget`] limit, or a failed [`SpotCheck`] verdict the
+    /// [`Budget`] limit, or a failed spot-check verdict the
     /// checkpoint is restored, the caches are invalidated, and the
     /// degraded [`PassOutcome`] is ledgered — the caller always gets
     /// back a valid graph no worse than its input, and a flow continues
@@ -575,18 +525,19 @@ impl OptContext {
                 );
             }
         }
-        if let Some(check) = &self.spot_check {
-            let verdict = catch_unwind(AssertUnwindSafe(|| check.check(&snapshot, &out)));
+        if let Some(rounds) = self.spot_check_rounds {
+            let verdict = catch_unwind(AssertUnwindSafe(|| {
+                snapshot.num_inputs() == out.num_inputs()
+                    && snapshot.num_outputs() == out.num_outputs()
+                    && snapshot.equiv(&out, rounds)
+            }));
             if !verdict.unwrap_or(false) {
-                let name = check.name().to_string();
                 self.recover_after_failure();
                 self.bufs.recycle(out);
                 return (
                     snapshot,
                     PassOutcome::RolledBack,
-                    Some(format!(
-                        "{name} spot check rejected the result; checkpoint restored"
-                    )),
+                    Some("spot check rejected the result; checkpoint restored".to_string()),
                 );
             }
         }

@@ -1730,7 +1730,7 @@ mod tests {
                     Signal::new(NodeId::from_index(leaf as usize), false),
                 );
             }
-            let tts = probe.truth_tables();
+            let tts = mig_sim::output_truth_tables(&probe.to_network());
             let base = tts.len() - cut.leaves().len();
             for row in 0..16usize {
                 let mut idx = 0usize;

@@ -1,91 +1,17 @@
-//! Simulation of MIGs: scalar, 64-way word-parallel, and exact truth
-//! tables for small input counts.
+//! Functional equivalence of MIGs, checked by exporting both graphs and
+//! simulating them with [`mig_sim`] — the workspace's one simulator.
 
-use crate::{Mig, Signal};
-use mig_tt::TruthTable;
+use crate::Mig;
+
+/// SplitMix64 seed of the random half of [`Mig::equiv`]. It differs from
+/// the netlist-level check's seed (`mig_sim::equivalent_random`), so the
+/// MIG-level and netlist-level verdicts of one run test different
+/// patterns.
+const EQUIV_SEED: u64 = 0x243F_6A88_85A3_08D3;
 
 impl Mig {
-    /// Evaluates all outputs under one boolean input assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len() != num_inputs()`.
-    pub fn eval(&self, assignment: &[bool]) -> Vec<bool> {
-        let words: Vec<u64> = assignment
-            .iter()
-            .map(|&b| if b { u64::MAX } else { 0 })
-            .collect();
-        self.simulate_words(&words)
-            .into_iter()
-            .map(|w| w & 1 == 1)
-            .collect()
-    }
-
-    /// Simulates 64 input patterns at once: `input_words[i]` carries 64
-    /// values of input `i`; the result carries 64 values per output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input_words.len() != num_inputs()`.
-    pub fn simulate_words(&self, input_words: &[u64]) -> Vec<u64> {
-        assert_eq!(input_words.len(), self.num_inputs());
-        let n = self.num_nodes();
-        let mut values = vec![0u64; n];
-        for (i, &w) in input_words.iter().enumerate() {
-            values[i + 1] = w;
-        }
-        let val = |values: &[u64], s: Signal| {
-            let v = values[s.node().index()];
-            if s.is_complemented() {
-                !v
-            } else {
-                v
-            }
-        };
-        for node in self.gate_ids() {
-            let [a, b, c] = self.children(node);
-            let (va, vb, vc) = (val(&values, a), val(&values, b), val(&values, c));
-            values[node.index()] = (va & vb) | (va & vc) | (vb & vc);
-        }
-        self.outputs()
-            .iter()
-            .map(|&(_, s)| val(&values, s))
-            .collect()
-    }
-
-    /// Computes the exact truth table of every output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the MIG has more than 16 inputs.
-    pub fn truth_tables(&self) -> Vec<TruthTable> {
-        let nv = self.num_inputs();
-        assert!(nv <= 16, "exact simulation limited to 16 inputs");
-        let mut tables = vec![TruthTable::zeros(nv); self.num_nodes()];
-        for i in 0..nv {
-            tables[i + 1] = TruthTable::var(i, nv);
-        }
-        let get = |tables: &[TruthTable], s: Signal| {
-            let t = tables[s.node().index()].clone();
-            if s.is_complemented() {
-                t.not()
-            } else {
-                t
-            }
-        };
-        for node in self.gate_ids() {
-            let [a, b, c] = self.children(node);
-            let (ta, tb, tc) = (get(&tables, a), get(&tables, b), get(&tables, c));
-            tables[node.index()] = TruthTable::maj(&ta, &tb, &tc);
-        }
-        self.outputs()
-            .iter()
-            .map(|&(_, s)| get(&tables, s))
-            .collect()
-    }
-
     /// Checks functional equivalence with another MIG over the same
-    /// inputs: exhaustive for ≤ 16 inputs, otherwise pseudo-random
+    /// inputs: exhaustive for ≤ 16 inputs, otherwise seeded random
     /// word-parallel simulation with `64 * rounds` patterns.
     ///
     /// Random simulation can only disprove equivalence; for the exhaustive
@@ -97,30 +23,23 @@ impl Mig {
     pub fn equiv(&self, other: &Mig, rounds: usize) -> bool {
         assert_eq!(self.num_inputs(), other.num_inputs());
         assert_eq!(self.num_outputs(), other.num_outputs());
+        // Each side is exported, reduced to its output signature and
+        // dropped before the other is exported, so at most one exported
+        // network is alive at a time (they are large next to the MIGs).
         if self.num_inputs() <= 16 {
-            return self.truth_tables() == other.truth_tables();
+            let mine = mig_sim::output_truth_tables(&self.to_network());
+            mine == mig_sim::output_truth_tables(&other.to_network())
+        } else {
+            let mine = mig_sim::random_signatures(&self.to_network(), rounds, EQUIV_SEED);
+            mine == mig_sim::random_signatures(&other.to_network(), rounds, EQUIV_SEED)
         }
-        // Deterministic xorshift pattern generator.
-        let mut state = 0x243F_6A88_85A3_08D3u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..rounds {
-            let words: Vec<u64> = (0..self.num_inputs()).map(|_| next()).collect();
-            if self.simulate_words(&words) != other.simulate_words(&words) {
-                return false;
-            }
-        }
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Signal;
 
     #[test]
     fn maj_gate_truth() {
@@ -130,7 +49,7 @@ mod tests {
         let c = mig.add_input("c");
         let m = mig.maj(a, b, c);
         mig.add_output("y", m);
-        let tts = mig.truth_tables();
+        let tts = mig_sim::output_truth_tables(&mig.to_network());
         assert_eq!(tts[0].as_u64(), 0xE8);
     }
 
@@ -144,23 +63,36 @@ mod tests {
         let m = mig.mux(c, a, b);
         mig.add_output("x", x);
         mig.add_output("m", m);
-        for bits in 0..8u32 {
-            let assign = [(bits & 1) == 1, (bits >> 1) & 1 == 1, (bits >> 2) & 1 == 1];
-            let out = mig.eval(&assign);
-            assert_eq!(out[0], assign[0] ^ assign[1]);
-            assert_eq!(out[1], if assign[2] { assign[0] } else { assign[1] });
-        }
+        // Input i's word holds bit i of every pattern 0..8.
+        let words = [0xAAu64, 0xCC, 0xF0];
+        let out = mig_sim::simulate(&mig.to_network(), &words);
+        assert_eq!(out[0] & 0xFF, words[0] ^ words[1]);
+        assert_eq!(
+            out[1] & 0xFF,
+            (words[2] & words[0]) | (!words[2] & words[1])
+        );
     }
 
     #[test]
     fn complemented_output() {
-        let mut mig = Mig::new("c");
-        let a = mig.add_input("a");
-        let b = mig.add_input("b");
-        let g = mig.and(a, b);
-        mig.add_output("nand", !g);
-        assert_eq!(mig.eval(&[true, true]), vec![false]);
-        assert_eq!(mig.eval(&[true, false]), vec![true]);
+        let mut nand = Mig::new("c");
+        let a = nand.add_input("a");
+        let b = nand.add_input("b");
+        let g = nand.and(a, b);
+        nand.add_output("nand", !g);
+
+        // De Morgan: ¬(a ∧ b) = ¬a ∨ ¬b.
+        let mut demorgan = Mig::new("d");
+        let a = demorgan.add_input("a");
+        let b = demorgan.add_input("b");
+        let g = demorgan.or(!a, !b);
+        demorgan.add_output("nand", g);
+        assert!(nand.equiv(&demorgan, 4));
+
+        let mut and = nand.clone();
+        let plain = !and.outputs()[0].1;
+        and.set_output(0, plain);
+        assert!(!nand.equiv(&and, 4));
     }
 
     #[test]

@@ -150,7 +150,7 @@ USAGE:
     mighty list                         list the generated MCNC benchmarks,
                                         the large tier and the stock cell
                                         libraries
-    mighty help                         show this message
+    mighty help, mighty COMMAND --help  show this message (also -h)
 
 RESILIENCE (opt, map, bench):
     --timeout-ms N                      wall-clock budget for the whole flow;
@@ -201,6 +201,7 @@ struct Args {
     drain_ms: Option<u64>,
     bench_load: bool,
     clients: Option<usize>,
+    help: bool,
 }
 
 impl Args {
@@ -238,6 +239,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         drain_ms: None,
         bench_load: false,
         clients: None,
+        help: false,
     };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
@@ -298,6 +300,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.drain_ms = Some(value(a)?.parse().map_err(|e| format!("--drain-ms: {e}"))?);
             }
             "--bench" => args.bench_load = true,
+            "--help" | "-h" => args.help = true,
             "--clients" => {
                 args.clients = Some(
                     value(a)?
@@ -674,6 +677,10 @@ fn run() -> Result<u8, Failure> {
         return Ok(EXIT_OK);
     };
     let args = parse_args(rest).map_err(Failure::usage)?;
+    if args.help {
+        println!("{USAGE}");
+        return Ok(EXIT_OK);
+    }
     match cmd.as_str() {
         "opt" => cmd_opt(&args),
         "map" => cmd_map(&args),

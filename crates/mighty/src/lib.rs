@@ -42,7 +42,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use mig_core::{Budget, Flow, MappedMetrics, Mig, OptContext, SpotCheck};
+use mig_core::{Budget, Flow, MappedMetrics, Mig, OptContext};
 use mig_netlist::{parse_verilog, write_verilog, Network};
 use mig_techmap::{map_mig, CellLibrary, MapConfig, MappedDesign, TechMapper, KNOWN_LIBRARIES};
 
@@ -132,7 +132,7 @@ pub struct RunOptions {
     /// Node-count cap; a pass whose output grows past it is rolled
     /// back.
     pub max_nodes: Option<usize>,
-    /// Run the network-level simulation spot check ([`NetSpotCheck`])
+    /// Run the simulation spot check ([`OptContext::set_spot_check`])
     /// after every pass, rolling back any pass whose result fails it.
     pub selfcheck: bool,
 }
@@ -150,34 +150,8 @@ impl RunOptions {
     fn apply(&self, ctx: &mut OptContext, rounds: usize) {
         ctx.set_budget(self.budget());
         if self.selfcheck {
-            ctx.set_spot_check(Box::new(NetSpotCheck { rounds }));
+            ctx.set_spot_check(rounds);
         }
-    }
-}
-
-/// The `--selfcheck` verifier: a [`mig_core::SpotCheck`] that exports
-/// both graphs to networks and compares them with [`mig_sim`]'s
-/// batched simulation (exhaustive up to 16 inputs, `rounds` seeded
-/// random 64-pattern words above). Heavier than the in-core
-/// [`mig_core::SimSpotCheck`], but it exercises the exact
-/// export-and-simulate path the final verdicts use.
-#[derive(Debug, Clone, Copy)]
-pub struct NetSpotCheck {
-    /// Random simulation rounds for graphs with more than 16 inputs.
-    pub rounds: usize,
-}
-
-impl SpotCheck for NetSpotCheck {
-    fn name(&self) -> &str {
-        "mig_sim"
-    }
-
-    fn check(&self, reference: &Mig, candidate: &Mig) -> bool {
-        let a = reference.to_network();
-        let b = candidate.to_network();
-        a.num_inputs() == b.num_inputs()
-            && a.num_outputs() == b.num_outputs()
-            && mig_sim::equivalent(&a, &b, self.rounds.max(1))
     }
 }
 

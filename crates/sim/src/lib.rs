@@ -30,6 +30,7 @@ mod simulate;
 pub use activity::{empirical_activity, signal_probabilities, switching_activity};
 pub use equiv::{
     equivalent, equivalent_exhaustive, equivalent_random, equivalent_seeded, output_truth_tables,
+    random_signatures,
 };
 pub use simulate::{simulate, simulate_all, simulate_batch};
 

@@ -11,13 +11,13 @@ use mig_netlist::{GateKind, Network};
 ///
 /// Panics if `input_words.len() != net.num_inputs()`.
 pub fn simulate(net: &Network, input_words: &[u64]) -> Vec<u64> {
-    simulate_all(net, input_words).1
+    simulate_batch(net, input_words, 1)
 }
 
 /// Simulates `w` 64-pattern words per input (`64·w` patterns total) in a
 /// single topological pass over the network.
 ///
-/// The equivalence checker batches 8 words (512 patterns) per pass, so
+/// The equivalence checker batches 4 words (256 patterns) per pass, so
 /// the per-gate bookkeeping — fanin lookups, dispatch on the gate kind —
 /// is amortized over the whole batch instead of being paid once per
 /// word. `input_words` is input-major: input `i`'s words occupy
@@ -30,6 +30,37 @@ pub fn simulate(net: &Network, input_words: &[u64]) -> Vec<u64> {
 ///
 /// Panics if `w == 0` or `input_words.len() != net.num_inputs() * w`.
 pub fn simulate_batch(net: &Network, input_words: &[u64], w: usize) -> Vec<u64> {
+    let values = gate_values(net, input_words, w);
+    let mut outs = Vec::with_capacity(net.num_outputs() * w);
+    for &(_, g) in net.outputs() {
+        outs.extend_from_slice(&values[g.index() * w..(g.index() + 1) * w]);
+    }
+    outs
+}
+
+/// Simulates 64 patterns and returns `(per-gate words, per-output words)`.
+///
+/// The per-gate vector is indexed by [`GateId::index`](mig_netlist::GateId);
+/// it is what activity estimation consumes.
+///
+/// # Panics
+///
+/// Panics if `input_words.len() != net.num_inputs()`.
+pub fn simulate_all(net: &Network, input_words: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    let values = gate_values(net, input_words, 1);
+    let outs = net
+        .outputs()
+        .iter()
+        .map(|&(_, g)| values[g.index()])
+        .collect();
+    (values, outs)
+}
+
+/// The one evaluation loop behind every simulation entry point: `w`
+/// words per gate in a single topological pass, gate-major (gate `g`'s
+/// words occupy `[g*w .. (g+1)*w]`), inputs laid out as in
+/// [`simulate_batch`].
+fn gate_values(net: &Network, input_words: &[u64], w: usize) -> Vec<u64> {
     assert!(w > 0, "batch width must be at least one word");
     assert_eq!(input_words.len(), net.num_inputs() * w);
     let mut values = vec![0u64; net.num_gates() * w];
@@ -65,60 +96,7 @@ pub fn simulate_batch(net: &Network, input_words: &[u64], w: usize) -> Vec<u64> 
             }
         }
     }
-    let mut outs = Vec::with_capacity(net.num_outputs() * w);
-    for &(_, g) in net.outputs() {
-        outs.extend_from_slice(&values[g.index() * w..(g.index() + 1) * w]);
-    }
-    outs
-}
-
-/// Simulates 64 patterns and returns `(per-gate words, per-output words)`.
-///
-/// The per-gate vector is indexed by [`GateId::index`](mig_netlist::GateId);
-/// it is what activity estimation consumes.
-///
-/// # Panics
-///
-/// Panics if `input_words.len() != net.num_inputs()`.
-pub fn simulate_all(net: &Network, input_words: &[u64]) -> (Vec<u64>, Vec<u64>) {
-    assert_eq!(input_words.len(), net.num_inputs());
-    let mut values = vec![0u64; net.num_gates()];
-    let mut next_input = 0usize;
-    // Fanin words are staged through a fixed-size stack buffer so the
-    // 64-way evaluation loop performs no per-gate heap allocation; the
-    // rare wider-than-8 variadic gate falls back to a reusable spill
-    // vector (allocated at most once per call).
-    let mut inline = [0u64; 8];
-    let mut spill: Vec<u64> = Vec::new();
-    for (id, gate) in net.iter() {
-        values[id.index()] = match gate.kind() {
-            GateKind::Input => {
-                let w = input_words[next_input];
-                next_input += 1;
-                w
-            }
-            kind => {
-                let fanins = gate.fanins();
-                let vals: &[u64] = if fanins.len() <= inline.len() {
-                    for (slot, f) in inline.iter_mut().zip(fanins) {
-                        *slot = values[f.index()];
-                    }
-                    &inline[..fanins.len()]
-                } else {
-                    spill.clear();
-                    spill.extend(fanins.iter().map(|f| values[f.index()]));
-                    &spill
-                };
-                kind.eval_words(vals)
-            }
-        };
-    }
-    let outs = net
-        .outputs()
-        .iter()
-        .map(|&(_, g)| values[g.index()])
-        .collect();
-    (values, outs)
+    values
 }
 
 #[cfg(test)]
@@ -184,7 +162,7 @@ mod tests {
         let g = net.and(x, m);
         net.set_output("y", g);
         net.set_output("m", m);
-        // 5 words per input: not a multiple of the 8-word batch width
+        // 5 words per input: not a multiple of the 4-word batch width
         // the equivalence checker uses, exercising a short batch.
         let w = 5;
         let words: Vec<u64> = (0..3 * w as u64)

@@ -9,17 +9,14 @@
 //! * [`tt`] — truth tables, NPN canonization, ISOP, factoring
 //! * [`netlist`] — generic logic networks + structural Verilog I/O
 //! * [`mig`] — the MIG data structure, Ω/Ψ algebra and optimizers
-//! * [`aig`] — AIG substrate with a `resyn2`-style flow (ABC baseline)
-//! * [`bdd`] — ROBDD package with BDS-style decomposition (BDS baseline)
-//! * [`sim`] — simulation, equivalence checking, switching activity
+//! * [`sim`] — the workspace's one simulator and equivalence checker
+//!   (every verdict goes through it), plus switching activity
 //! * [`techmap`] — technology mapping onto a 22nm-style cell library
 //! * [`benchgen`] — deterministic MCNC-style benchmark generators
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every table and figure.
 
-pub use mig_aig as aig;
-pub use mig_bdd as bdd;
 pub use mig_benchgen as benchgen;
 pub use mig_core as mig;
 pub use mig_netlist as netlist;

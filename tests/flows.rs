@@ -1,10 +1,12 @@
 //! Property tests for the flow-script layer: the parser round-trips on
 //! generated scripts, and every canned flow (plus randomized ones) is a
 //! semantics-preserving transformation on a SplitMix64 netlist corpus,
-//! bit-identically for any `--jobs` setting.
+//! bit-identically for any `--jobs` setting, with the incremental level
+//! mirror equal to a from-scratch recomputation after every pass.
 
 use mig_suite::benchgen::{layered_random, RandomLogicParams};
-use mig_suite::mig::{Flow, FlowStep, Mig, OptContext, PassKind, Repeat};
+use mig_suite::mig::opt::pipeline::CONVERGE_CAP;
+use mig_suite::mig::{Flow, FlowStep, LevelMap, Mig, OptContext, PassKind, Repeat, Signal};
 use mig_suite::netlist::SplitMix64;
 
 /// Number of 64-pattern blocks for the random half of equivalence checks.
@@ -103,12 +105,85 @@ fn assert_bit_identical(a: &Mig, b: &Mig, what: &str) {
     assert_eq!(a.outputs(), b.outputs(), "{what}: outputs differ");
 }
 
+/// Asserts the mirror, freshly bound to `mig`, holds exactly the levels
+/// and depth recomputed from the children.
+fn assert_levels_exact(mirror: &mut LevelMap, mig: &Mig, what: &str) {
+    let mut fresh = vec![0u32; mig.num_nodes()];
+    for node in mig.gate_ids() {
+        fresh[node.index()] = 1 + mig
+            .children(node)
+            .iter()
+            .map(|s| fresh[s.node().index()])
+            .max()
+            .expect("three children");
+    }
+    assert_eq!(mirror.levels(), fresh.as_slice(), "{what}: node levels");
+    let depth = mig
+        .outputs()
+        .iter()
+        .map(|&(_, s)| fresh[s.node().index()])
+        .max()
+        .unwrap_or(0);
+    assert_eq!(mirror.depth(mig), depth, "{what}: depth");
+}
+
+/// Binds `mirror` to a pass result and checks it, then checks it again
+/// after growing a copy of that result. Every pass hands back a
+/// compacted arena with a fresh generation, so the first bind is a
+/// global resync; appending a chain of majority nodes over the outputs
+/// makes the second bind an incremental catch-up on the same real graph.
+fn check_mirror_after_pass(mirror: &mut LevelMap, out: &Mig, what: &str) {
+    mirror.bind(out);
+    assert_levels_exact(mirror, out, what);
+    let mut grown = out.clone();
+    mirror.bind(&grown);
+    let outs: Vec<Signal> = grown.outputs().iter().map(|&(_, s)| s).collect();
+    let mut acc = grown.input(0);
+    for (i, &o) in outs.iter().enumerate() {
+        let x = grown.input((i + 1) % grown.num_inputs());
+        acc = grown.maj(acc, !o, x);
+    }
+    grown.add_output("shadow", acc);
+    mirror.bind(&grown);
+    assert_levels_exact(mirror, &grown, &format!("{what}, grown"));
+}
+
+/// Runs `flow` at effort 1 pass by pass through [`OptContext::run_pass`],
+/// exactly as [`Flow::run`] sequences it, and shadow-checks one
+/// [`LevelMap`] after every pass.
+fn run_with_level_shadow(flow: &Flow, mig: Mig, ctx: &mut OptContext, what: &str) -> Mig {
+    let mut mirror = LevelMap::new();
+    let mut cur = mig;
+    ctx.begin_run();
+    for step in &flow.steps {
+        let pass = step.pass.build(1);
+        let runs = match step.repeat {
+            Repeat::Times(n) => n,
+            Repeat::Converge => CONVERGE_CAP,
+        };
+        for run in 0..runs {
+            cur = ctx.run_pass(&*pass, cur);
+            check_mirror_after_pass(
+                &mut mirror,
+                &cur,
+                &format!("{what}, {} run {run}", step.pass),
+            );
+            let report = ctx.ledger().last().expect("run_pass appends");
+            if step.repeat == Repeat::Converge && !pass.improved(&report.before, &report.after) {
+                break;
+            }
+        }
+    }
+    cur
+}
+
 #[test]
 fn canned_and_random_flows_preserve_semantics_at_any_job_count() {
     // Every canned flow `run_opt` compiles legacy targets to, plus 3
     // randomized flows: on the whole corpus the result must stay
     // equivalent to the input and be bit-identical between jobs=1 and
-    // jobs=4.
+    // jobs=4. The jobs=1 run is stepped pass by pass with the level
+    // mirror shadow-checked after every pass.
     let mut scripts: Vec<String> = Vec::new();
     for target in ["size", "depth", "activity", "all"] {
         let t = mig_mighty::OptTarget::parse(target).unwrap();
@@ -125,7 +200,12 @@ fn canned_and_random_flows_preserve_semantics_at_any_job_count() {
     for script in &scripts {
         let flow = Flow::parse(script).expect(script);
         for (ci, mig) in corpus.iter().enumerate() {
-            let base = flow.run(mig.clone(), 1, &mut OptContext::with_jobs(1));
+            let base = run_with_level_shadow(
+                &flow,
+                mig.clone(),
+                &mut OptContext::with_jobs(1),
+                &format!("`{script}` on circuit {ci}"),
+            );
             assert!(
                 base.equiv(mig, ROUNDS),
                 "`{script}` broke equivalence on corpus circuit {ci}"

@@ -15,7 +15,7 @@
 use std::sync::Mutex;
 
 use mig_suite::benchgen::{generate, layered_random, RandomLogicParams};
-use mig_suite::mig::{Budget, Flow, Mig, OptContext, Pass, PassOutcome, RewritePass, SimSpotCheck};
+use mig_suite::mig::{Budget, Flow, Mig, OptContext, Pass, PassOutcome, RewritePass};
 use mig_suite::netlist::SplitMix64;
 
 /// Number of 64-pattern blocks for the random half of equivalence checks.
@@ -176,7 +176,7 @@ fn spot_check_rejects_a_corrupting_pass() {
     let mig = count_mig();
     let snapshot = mig.clone();
     let mut ctx = OptContext::with_jobs(1);
-    ctx.set_spot_check(Box::new(SimSpotCheck::new(ROUNDS)));
+    ctx.set_spot_check(ROUNDS);
     let out = ctx.run_pass(&CorruptPass, mig);
     assert_same_mig(&out, &snapshot);
     let ledger = ctx.take_ledger();
@@ -219,7 +219,7 @@ fn clean_pass_after_rollback_matches_from_scratch() {
         // Faulty trajectory: rewrite, panicking pass (rolled back),
         // corrupting pass (rolled back by the spot check), rewrite.
         let mut faulty = OptContext::with_jobs(1);
-        faulty.set_spot_check(Box::new(SimSpotCheck::new(ROUNDS)));
+        faulty.set_spot_check(ROUNDS);
         let mut cur = faulty.run_pass(&rewrite, mig.clone());
         cur = faulty.run_pass(&PanicPass, cur);
         cur = faulty.run_pass(&CorruptPass, cur);
@@ -341,7 +341,7 @@ mod fault_injection {
         let mig = Mig::from_network(&generate(name).expect("known benchmark")).cleanup();
         let mut ctx = OptContext::with_jobs(2);
         if selfcheck {
-            ctx.set_spot_check(Box::new(SimSpotCheck::new(ROUNDS)));
+            ctx.set_spot_check(ROUNDS);
         }
         let flow = Flow::parse(script).unwrap();
         let out = flow.run(mig.clone(), 2, &mut ctx);
