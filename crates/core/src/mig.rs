@@ -667,6 +667,18 @@ impl Mig {
         out
     }
 
+    /// Whether `self` and `other` are the same graph node for node: the
+    /// same name, inputs, children arrays (dead nodes included) and
+    /// outputs. One O(n) comparison; a deterministic pass maps two such
+    /// graphs to two such results.
+    pub fn same_structure(&self, other: &Mig) -> bool {
+        self.num_inputs == other.num_inputs
+            && self.children == other.children
+            && self.outputs == other.outputs
+            && self.input_names == other.input_names
+            && self.name == other.name
+    }
+
     /// Iterates over gate node ids in topological (arena) order.
     pub fn gate_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (self.num_inputs + 1..self.children.len()).map(NodeId::from_index)
@@ -685,17 +697,50 @@ impl Mig {
         p
     }
 
-    /// [`Mig::signal_probabilities`] into a caller-owned buffer, so the
-    /// activity optimizer can recompute per candidate without allocating.
+    /// [`Mig::signal_probabilities`] into a caller-owned buffer.
     ///
     /// # Panics
     ///
     /// Panics if `input_probs.len() != num_inputs()`.
     pub fn signal_probabilities_into(&self, input_probs: &[f64], p: &mut Vec<f64>) {
-        assert_eq!(input_probs.len(), self.num_inputs);
         p.clear();
-        p.resize(self.children.len(), 0.0);
-        p[1..=self.num_inputs].copy_from_slice(input_probs);
+        self.extend_signal_probabilities(input_probs, p);
+    }
+
+    /// Extends `p`, this arena's signal probabilities for its first
+    /// `p.len()` nodes under `input_probs`, over the nodes appended
+    /// since (an empty `p` is filled from scratch).
+    ///
+    /// The arena is append-only and topologically ordered, so a node's
+    /// probability depends only on earlier nodes and never changes once
+    /// computed: the extended buffer equals
+    /// [`Mig::signal_probabilities`] bit for bit, at a cost proportional
+    /// to the appended suffix. The activity optimizer queries
+    /// probabilities after every candidate it appends, which made the
+    /// from-scratch recomputation quadratic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_probs.len() != num_inputs()` or if `p` holds
+    /// more entries than the arena has nodes (it was computed for a
+    /// different graph).
+    pub fn extend_signal_probabilities(&self, input_probs: &[f64], p: &mut Vec<f64>) {
+        assert_eq!(input_probs.len(), self.num_inputs);
+        assert!(
+            p.len() <= self.children.len(),
+            "probability buffer outgrew the arena it extends"
+        );
+        if p.is_empty() {
+            p.push(0.0);
+            p.extend_from_slice(input_probs);
+        }
+        debug_assert!(
+            p[1..=self.num_inputs]
+                .iter()
+                .zip(input_probs)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "probability buffer was computed under other input probabilities"
+        );
         let prob_of = |p: &[f64], s: Signal| {
             let q = p[s.node().index()];
             if s.is_complemented() {
@@ -704,10 +749,17 @@ impl Mig {
                 q
             }
         };
-        for i in self.num_inputs + 1..self.children.len() {
+        p.reserve(self.children.len() - p.len());
+        for i in p.len()..self.children.len() {
             let [a, b, c] = self.children[i];
+            // Append-only order is what makes the prefix final: every
+            // fanin's probability is already in the buffer.
+            debug_assert!(
+                [a, b, c].iter().all(|s| s.node().index() < i),
+                "node {i} has a fanin at or after itself"
+            );
             let (pa, pb, pc) = (prob_of(p, a), prob_of(p, b), prob_of(p, c));
-            p[i] = pa * pb + pa * pc + pb * pc - 2.0 * pa * pb * pc;
+            p.push(pa * pb + pa * pc + pb * pc - 2.0 * pa * pb * pc);
         }
     }
 

@@ -128,24 +128,21 @@ fn probability_reshape_pass(
     cone_limit: usize,
     bufs: &mut OptBuffers,
 ) -> Mig {
-    // Probability buffers reused across every node and candidate of the
-    // pass (the closure used to allocate one `Vec<f64>` per candidate).
+    // One probability buffer for the whole rebuild. The destination
+    // arena only grows while the rebuild runs, so every query extends
+    // the buffer over the nodes appended since the previous one instead
+    // of re-propagating the whole arena (which made the pass quadratic).
     let mut probs: Vec<f64> = Vec::new();
-    let mut cand_probs: Vec<f64> = Vec::new();
     bufs.rebuild(mig, |new, kids, _| {
         let base = new.maj(kids[0], kids[1], kids[2]);
         if new.as_maj(base).is_none() {
             return base;
         }
-        // A Ψ.R exchange needs a majority fanin to rewrite through; skip
-        // the O(n) probability propagation when no candidate exists.
+        // A Ψ.R exchange needs a majority fanin to rewrite through.
         if !kids.iter().any(|&k| new.as_maj(k).is_some()) {
             return base;
         }
-        // Probabilities in the new graph (recomputed lazily per node: the
-        // graph is small enough during rebuild that a full propagation per
-        // candidate would be wasteful; we use cone-local evaluation).
-        new.signal_probabilities_into(input_probs, &mut probs);
+        new.extend_signal_probabilities(input_probs, &mut probs);
         let p_of = |probs: &[f64], s: Signal| {
             let p = probs[s.node().index()];
             if s.is_complemented() {
@@ -176,8 +173,8 @@ fn probability_reshape_pass(
                     continue;
                 }
                 let cand = new.psi_r(x, y, z);
-                new.signal_probabilities_into(input_probs, &mut cand_probs);
-                let act = cone_activity(new, cand, &cand_probs, cone_limit);
+                new.extend_signal_probabilities(input_probs, &mut probs);
+                let act = cone_activity(new, cand, &probs, cone_limit);
                 if act < best_act {
                     best = cand;
                     best_act = act;
@@ -255,6 +252,55 @@ mod tests {
         let opt = optimize_activity(&mig, &probs, &ActivityOptConfig::default());
         assert!(opt.equiv(&mig, 4));
         assert!(opt.switching_activity(&probs) <= before + 1e-12);
+    }
+
+    #[test]
+    fn extended_probabilities_match_recomputation() {
+        // Random majority and Ψ.R appends, with the buffer extended at
+        // random points in between: it must always equal a from-scratch
+        // propagation, bit for bit.
+        use mig_netlist::SplitMix64;
+        for seed in 0..40u64 {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let n_in = rng.gen_range(3..8);
+            let mut mig = Mig::new("corpus");
+            let mut pool: Vec<Signal> = (0..n_in).map(|i| mig.add_input(format!("x{i}"))).collect();
+            pool.push(Signal::FALSE);
+            let input_probs: Vec<f64> = (0..n_in).map(|_| rng.next_f64()).collect();
+            let pick = |rng: &mut SplitMix64, pool: &[Signal]| {
+                pool[rng.gen_range(0..pool.len())].complement_if(rng.gen_bool(0.5))
+            };
+            let mut probs = Vec::new();
+            for _ in 0..60 {
+                let s = if rng.gen_bool(0.7) {
+                    let (a, b, c) = (
+                        pick(&mut rng, &pool),
+                        pick(&mut rng, &pool),
+                        pick(&mut rng, &pool),
+                    );
+                    mig.maj(a, b, c)
+                } else {
+                    let (x, y, z) = (
+                        pick(&mut rng, &pool),
+                        pick(&mut rng, &pool),
+                        pick(&mut rng, &pool),
+                    );
+                    if x.is_constant() {
+                        continue;
+                    }
+                    mig.psi_r(x, y, z)
+                };
+                pool.push(s);
+                if rng.gen_bool(0.4) {
+                    mig.extend_signal_probabilities(&input_probs, &mut probs);
+                    let fresh = mig.signal_probabilities(&input_probs);
+                    assert_eq!(probs.len(), fresh.len(), "seed {seed}");
+                    for (i, (a, b)) in probs.iter().zip(&fresh).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}, node {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

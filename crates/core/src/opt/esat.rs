@@ -206,7 +206,7 @@ impl EsatConfig {
 /// A deferred rule application: `target` has been proven equal to the
 /// right-hand-side expression, which is one of two shapes (every axiom's
 /// RHS is at most a two-level majority nest).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
     /// `target ≡ M(outer[0], outer[1], M(inner))`.
     Nest {
@@ -221,6 +221,170 @@ enum Action {
         z: ELit,
         target: ELit,
     },
+}
+
+/// One matching sweep's actions, flat: target `t`'s actions are
+/// `actions[offsets[t]..offsets[t + 1]]`, targets in snapshot order
+/// (class id, then node list order). The buffers are reused across
+/// saturation iterations.
+#[derive(Debug, Default)]
+struct Matches {
+    actions: Vec<Action>,
+    offsets: Vec<usize>,
+    /// Scratch of [`Matches::round_robin`]: the targets that still have
+    /// actions left.
+    live: Vec<u32>,
+}
+
+impl Matches {
+    fn clear(&mut self) {
+        self.actions.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+    }
+
+    /// Closes the current target: the actions pushed since the previous
+    /// call are its own.
+    fn end_target(&mut self) {
+        self.offsets.push(self.actions.len());
+    }
+
+    /// The actions interleaved round-robin across targets — every
+    /// target's first action in target order, then every target's
+    /// second, and so on — so when the apply loop runs out of node
+    /// budget mid-sweep, exploration has been spread over the whole
+    /// graph instead of a prefix of it. Targets drop out of the walk
+    /// once exhausted, so a sweep costs O(actions + targets).
+    fn round_robin(&mut self) -> RoundRobin<'_> {
+        self.live.clear();
+        self.live.extend(
+            self.offsets
+                .windows(2)
+                .enumerate()
+                .filter(|(_, w)| w[0] < w[1])
+                .map(|(t, _)| t as u32),
+        );
+        RoundRobin {
+            actions: &self.actions,
+            offsets: &self.offsets,
+            live: &mut self.live,
+            round: 0,
+            next: 0,
+            kept: 0,
+        }
+    }
+}
+
+/// Iterator of [`Matches::round_robin`]. Invariant: every target in
+/// `live[next..]` has an action in `round`; `live[..kept]` holds the
+/// targets already visited this round that have one in `round + 1`.
+struct RoundRobin<'a> {
+    actions: &'a [Action],
+    offsets: &'a [usize],
+    live: &'a mut Vec<u32>,
+    round: usize,
+    next: usize,
+    kept: usize,
+}
+
+impl Iterator for RoundRobin<'_> {
+    type Item = Action;
+
+    fn next(&mut self) -> Option<Action> {
+        if self.next == self.live.len() {
+            self.live.truncate(self.kept);
+            if self.live.is_empty() {
+                return None;
+            }
+            self.round += 1;
+            self.next = 0;
+            self.kept = 0;
+        }
+        let t = self.live[self.next] as usize;
+        self.next += 1;
+        let k = self.offsets[t] + self.round;
+        if k + 1 < self.offsets[t + 1] {
+            self.live[self.kept] = t as u32;
+            self.kept += 1;
+        }
+        Some(self.actions[k])
+    }
+}
+
+/// Dirty-frontier scheduling for extraction's fixpoints over the
+/// frozen e-graph (the union-find does not change during extraction,
+/// so the parent lists stay valid). A class is re-evaluated only when
+/// a child class's value changed since its last evaluation.
+///
+/// Exactness against a full ascending sweep repeated until nothing
+/// changes: re-evaluating a class whose children are unchanged
+/// reproduces candidate values that already lost the strict `<`
+/// comparison, so skipping it cannot change any assignment. In-round
+/// visibility matches the full sweep exactly: classes are visited in
+/// ascending order, so a parent above the changed child joins the
+/// current round and a parent at or below it waits for the next.
+struct Frontier {
+    parents: Vec<Vec<u32>>,
+    dirty_now: Vec<bool>,
+    dirty_next: Vec<bool>,
+}
+
+impl Frontier {
+    /// Round cap of one fixpoint (a backstop; real runs converge far
+    /// below it).
+    const SWEEP_CAP: usize = 10_000;
+
+    fn new(g: &EGraph) -> Frontier {
+        let n = g.uf.len();
+        let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for c in 0..n {
+            if g.uf[c].class() != c as u32 {
+                continue;
+            }
+            for &(node, _) in &g.nodes[c] {
+                for kid in node {
+                    let kc = g.find_nc(kid).class() as usize;
+                    parents[kc].push(c as u32);
+                }
+            }
+        }
+        for list in &mut parents {
+            list.sort_unstable();
+            list.dedup();
+        }
+        Frontier {
+            parents,
+            dirty_now: vec![true; n],
+            dirty_next: vec![false; n],
+        }
+    }
+
+    /// Runs `eval` to its fixpoint: `eval(c)` re-evaluates class `c`
+    /// and reports whether its value changed. Every class is evaluated
+    /// in the first round.
+    fn run(&mut self, mut eval: impl FnMut(usize) -> bool) {
+        self.dirty_now.fill(true);
+        self.dirty_next.fill(false);
+        for _ in 0..Self::SWEEP_CAP {
+            for c in 0..self.dirty_now.len() {
+                if !self.dirty_now[c] || !eval(c) {
+                    continue;
+                }
+                for &p in &self.parents[c] {
+                    if (p as usize) > c {
+                        self.dirty_now[p as usize] = true;
+                    } else {
+                        self.dirty_next[p as usize] = true;
+                    }
+                }
+            }
+            if !self.dirty_next.iter().any(|&d| d) {
+                break;
+            }
+            std::mem::swap(&mut self.dirty_now, &mut self.dirty_next);
+            self.dirty_next.fill(false);
+        }
+    }
 }
 
 /// An e-graph over complement-normalized majority nodes: union-find with
@@ -497,184 +661,177 @@ impl EGraph {
     }
 
     /// One rule-matching sweep: collects the deferred applications of
-    /// every axiom against every current node (deterministic order:
-    /// class id, then node list order).
-    fn matches(&mut self, scan_cap: usize) -> Vec<Action> {
-        // Snapshot the nodes so rule application never observes a
-        // half-updated class list.
-        let mut snapshot: Vec<(ELit, ENode)> = Vec::with_capacity(self.num_enodes);
+    /// every axiom against every current node into `out` (deterministic
+    /// order: class id, then node list order). Matching only reads the
+    /// graph; the actions are applied after the sweep, so rule
+    /// application never observes a half-updated class list.
+    fn matches(&self, scan_cap: usize, out: &mut Matches) {
+        out.clear();
         for c in 0..self.uf.len() {
             if self.uf[c].class() != c as u32 {
                 continue;
             }
             for &(n, oc) in &self.nodes[c] {
-                snapshot.push((ELit::new(c as u32, oc), n));
+                self.match_node(ELit::new(c as u32, oc), n, scan_cap, &mut out.actions);
+                out.end_target();
             }
         }
-        let mut buckets: Vec<Vec<Action>> = Vec::with_capacity(snapshot.len());
-        for &(target, n) in &snapshot {
-            let mut actions = Vec::new();
-            for i in 0..3 {
-                let child = n[i];
-                let x = n[(i + 1) % 3];
-                let u = n[(i + 2) % 3];
-                let inner_class = child.class() as usize;
-                let inner_nodes: Vec<(ENode, bool)> = self.nodes[inner_class]
-                    .iter()
-                    .take(scan_cap)
-                    .copied()
-                    .collect();
-                for (m, moc) in inner_nodes {
-                    let flip = child.is_complemented() ^ moc;
-                    let ik = if flip {
-                        [m[0].not(), m[1].not(), m[2].not()]
-                    } else {
-                        m
-                    };
-                    // target ≡ M(x, u, M(ik)) — match the nested rules
-                    // with both (x,u) and (u,x) in the outer role.
-                    for (x, u) in [(x, u), (u, x)] {
-                        for j in 0..3 {
-                            let yj = ik[j];
-                            let ya = ik[(j + 1) % 3];
-                            let yb = ik[(j + 2) % 3];
-                            if yj == u {
-                                // Ω.A: M(x,u,M(ya,u,yb)) = M(yb,u,M(ya,u,x))
-                                actions.push(Action::Nest {
-                                    outer: [yb, u],
-                                    inner: [ya, u, x],
-                                    target,
-                                });
-                                // M-assoc: … = M(M(x,u,ya),u,yb)
-                                actions.push(Action::Nest {
-                                    outer: [u, yb],
-                                    inner: [x, u, ya],
-                                    target,
-                                });
-                            }
-                            if yj == u.not() {
-                                // Ψ.C: M(x,u,M(ya,u',yb)) = M(x,u,M(ya,x,yb))
-                                actions.push(Action::Nest {
-                                    outer: [x, u],
-                                    inner: [ya, x, yb],
-                                    target,
-                                });
-                            }
-                            if yj == x {
-                                // Ψ.R (one level): M(x,u,M(…x…)) =
-                                // M(x,u,M(…u'…))
-                                let mut inner = ik;
-                                inner[j] = u.not();
-                                actions.push(Action::Nest {
-                                    outer: [x, u],
-                                    inner,
-                                    target,
-                                });
-                            }
+    }
+
+    /// The actions of every rule matching at node `n`, which equals
+    /// `target`, in rule order.
+    fn match_node(&self, target: ELit, n: ENode, scan_cap: usize, actions: &mut Vec<Action>) {
+        let flipped = |m: ENode, flip: bool| {
+            if flip {
+                [m[0].not(), m[1].not(), m[2].not()]
+            } else {
+                m
+            }
+        };
+        for i in 0..3 {
+            let child = n[i];
+            let x = n[(i + 1) % 3];
+            let u = n[(i + 2) % 3];
+            for &(m, moc) in self.nodes[child.class() as usize].iter().take(scan_cap) {
+                let ik = flipped(m, child.is_complemented() ^ moc);
+                // target ≡ M(x, u, M(ik)) — match the nested rules
+                // with both (x,u) and (u,x) in the outer role.
+                for (x, u) in [(x, u), (u, x)] {
+                    for j in 0..3 {
+                        let yj = ik[j];
+                        let ya = ik[(j + 1) % 3];
+                        let yb = ik[(j + 2) % 3];
+                        if yj == u {
+                            // Ω.A: M(x,u,M(ya,u,yb)) = M(yb,u,M(ya,u,x))
+                            actions.push(Action::Nest {
+                                outer: [yb, u],
+                                inner: [ya, u, x],
+                                target,
+                            });
+                            // M-assoc: … = M(M(x,u,ya),u,yb)
+                            actions.push(Action::Nest {
+                                outer: [u, yb],
+                                inner: [x, u, ya],
+                                target,
+                            });
+                        }
+                        if yj == u.not() {
+                            // Ψ.C: M(x,u,M(ya,u',yb)) = M(x,u,M(ya,x,yb))
+                            actions.push(Action::Nest {
+                                outer: [x, u],
+                                inner: [ya, x, yb],
+                                target,
+                            });
+                        }
+                        if yj == x {
+                            // Ψ.R (one level): M(x,u,M(…x…)) =
+                            // M(x,u,M(…u'…))
+                            let mut inner = ik;
+                            inner[j] = u.not();
+                            actions.push(Action::Nest {
+                                outer: [x, u],
+                                inner,
+                                target,
+                            });
                         }
                     }
-                    // Ω.D left-to-right: M(x,u,M(a,b,c)) =
-                    // M(M(x,u,a),M(x,u,b),c) for each choice of the
-                    // child kept outside. Unconditionally this rule is
-                    // explosive (it always adds up to three nodes and
-                    // matches every nested pair), so it only fires when
-                    // at least one of the distributed products already
-                    // exists in the e-graph — then the rewrite creates
-                    // sharing instead of inflation.
-                    for j in 0..3 {
-                        let p0 = [x, u, ik[(j + 1) % 3]];
-                        let p1 = [x, u, ik[(j + 2) % 3]];
-                        if self.node_exists(p0) || self.node_exists(p1) {
-                            actions.push(Action::Dist {
-                                ab: [x, u],
-                                pair: [ik[(j + 1) % 3], ik[(j + 2) % 3]],
-                                z: ik[j],
+                }
+                // Ω.D left-to-right: M(x,u,M(a,b,c)) =
+                // M(M(x,u,a),M(x,u,b),c) for each choice of the child
+                // kept outside. Unconditionally this rule is explosive
+                // (it always adds up to three nodes and matches every
+                // nested pair), so it only fires when at least one of
+                // the distributed products already exists in the
+                // e-graph — then the rewrite creates sharing instead of
+                // inflation. Each product is probed once and shared by
+                // the two choices it takes part in.
+                let exists = ik.map(|k| self.node_exists([x, u, k]));
+                for j in 0..3 {
+                    if exists[(j + 1) % 3] || exists[(j + 2) % 3] {
+                        actions.push(Action::Dist {
+                            ab: [x, u],
+                            pair: [ik[(j + 1) % 3], ik[(j + 2) % 3]],
+                            z: ik[j],
+                            target,
+                        });
+                    }
+                }
+            }
+        }
+        // Ω.D right-to-left: two children that are majority nodes
+        // sharing two operands factor out —
+        // M(M(x,y,u),M(x,y,v),z) = M(x,y,M(u,v,z)).
+        for i in 0..3 {
+            let a = n[i];
+            let b = n[(i + 1) % 3];
+            let z = n[(i + 2) % 3];
+            let an = &self.nodes[a.class() as usize];
+            let bn = &self.nodes[b.class() as usize];
+            for &(ma, aoc) in an.iter().take(scan_cap) {
+                let ka = flipped(ma, a.is_complemented() ^ aoc);
+                for &(mb, boc) in bn.iter().take(scan_cap) {
+                    let kb = flipped(mb, b.is_complemented() ^ boc);
+                    // Find two shared operands x,y with leftovers u,v.
+                    for p in 0..3 {
+                        for q in 0..3 {
+                            if q == p {
+                                continue;
+                            }
+                            let (x, y) = (ka[p], ka[q]);
+                            let mut used = [false; 3];
+                            let mut ok = true;
+                            for want in [x, y] {
+                                let found = (0..3).find(|&t| !used[t] && kb[t] == want);
+                                match found {
+                                    Some(t) => used[t] = true,
+                                    None => {
+                                        ok = false;
+                                        break;
+                                    }
+                                }
+                            }
+                            if !ok {
+                                continue;
+                            }
+                            let u = ka[3 - p - q];
+                            let v = kb[(0..3).find(|&t| !used[t]).expect("one left")];
+                            actions.push(Action::Nest {
+                                outer: [x, y],
+                                inner: [u, v, z],
                                 target,
                             });
                         }
                     }
                 }
             }
-            // Ω.D right-to-left: two children that are majority nodes
-            // sharing two operands factor out —
-            // M(M(x,y,u),M(x,y,v),z) = M(x,y,M(u,v,z)).
-            for i in 0..3 {
-                let a = n[i];
-                let b = n[(i + 1) % 3];
-                let z = n[(i + 2) % 3];
-                let an: Vec<(ENode, bool)> = self.nodes[a.class() as usize]
-                    .iter()
-                    .take(scan_cap)
-                    .copied()
-                    .collect();
-                let bn: Vec<(ENode, bool)> = self.nodes[b.class() as usize]
-                    .iter()
-                    .take(scan_cap)
-                    .copied()
-                    .collect();
-                for &(ma, aoc) in &an {
-                    let ka = if a.is_complemented() ^ aoc {
-                        [ma[0].not(), ma[1].not(), ma[2].not()]
-                    } else {
-                        ma
-                    };
-                    for &(mb, boc) in &bn {
-                        let kb = if b.is_complemented() ^ boc {
-                            [mb[0].not(), mb[1].not(), mb[2].not()]
-                        } else {
-                            mb
-                        };
-                        // Find two shared operands x,y with leftovers u,v.
-                        for p in 0..3 {
-                            for q in 0..3 {
-                                if q == p {
-                                    continue;
-                                }
-                                let (x, y) = (ka[p], ka[q]);
-                                let mut used = [false; 3];
-                                let mut ok = true;
-                                for want in [x, y] {
-                                    let found = (0..3).find(|&t| !used[t] && kb[t] == want);
-                                    match found {
-                                        Some(t) => used[t] = true,
-                                        None => {
-                                            ok = false;
-                                            break;
-                                        }
-                                    }
-                                }
-                                if !ok {
-                                    continue;
-                                }
-                                let u = ka[3 - p - q];
-                                let v = kb[(0..3).find(|&t| !used[t]).expect("one left")];
-                                actions.push(Action::Nest {
-                                    outer: [x, y],
-                                    inner: [u, v, z],
-                                    target,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            buckets.push(actions);
         }
-        // Interleave round-robin across target nodes: when the apply
-        // loop runs out of node budget mid-list, exploration has been
-        // spread over the whole graph instead of a prefix of it.
-        let total: usize = buckets.iter().map(Vec::len).sum();
-        let mut interleaved = Vec::with_capacity(total);
-        let mut round = 0;
-        while interleaved.len() < total {
-            for bucket in &buckets {
-                if let Some(&a) = bucket.get(round) {
-                    interleaved.push(a);
-                }
+    }
+
+    /// Applies one deferred rule application: builds its right-hand
+    /// side and merges it with the target.
+    fn apply(&mut self, action: Action) {
+        match action {
+            Action::Nest {
+                outer,
+                inner,
+                target,
+            } => {
+                let im = self.maj(inner[0], inner[1], inner[2]);
+                let om = self.maj(outer[0], outer[1], im);
+                self.merge(om, target);
             }
-            round += 1;
+            Action::Dist {
+                ab,
+                pair,
+                z,
+                target,
+            } => {
+                let l = self.maj(ab[0], ab[1], pair[0]);
+                let r = self.maj(ab[0], ab[1], pair[1]);
+                let om = self.maj(l, r, z);
+                self.merge(om, target);
+            }
         }
-        interleaved
     }
 
     /// Saturates under the config's budgets; see the module docs for the
@@ -687,16 +844,17 @@ impl EGraph {
         let merges_before = self.merges;
         let mut stopped = StopReason::IterLimit;
         let mut iterations = 0;
+        let mut matches = Matches::default();
         'outer: for _ in 0..config.iters.max(1) {
             if self.num_enodes >= cap {
                 stopped = StopReason::NodeLimit;
                 break;
             }
-            let actions = self.matches(config.scan_cap.max(1));
+            self.matches(config.scan_cap.max(1), &mut matches);
             iterations += 1;
             let nodes_before = self.num_enodes;
             let merges_at = self.merges;
-            for (k, action) in actions.iter().enumerate() {
+            for (k, action) in matches.round_robin().enumerate() {
                 if self.num_enodes >= cap {
                     stopped = StopReason::NodeLimit;
                     self.rebuild();
@@ -713,28 +871,7 @@ impl EGraph {
                         }
                     }
                 }
-                match *action {
-                    Action::Nest {
-                        outer,
-                        inner,
-                        target,
-                    } => {
-                        let im = self.maj(inner[0], inner[1], inner[2]);
-                        let om = self.maj(outer[0], outer[1], im);
-                        self.merge(om, target);
-                    }
-                    Action::Dist {
-                        ab,
-                        pair,
-                        z,
-                        target,
-                    } => {
-                        let l = self.maj(ab[0], ab[1], pair[0]);
-                        let r = self.maj(ab[0], ab[1], pair[1]);
-                        let om = self.maj(l, r, z);
-                        self.merge(om, target);
-                    }
-                }
+                self.apply(action);
             }
             self.rebuild();
             if self.num_enodes == nodes_before && self.merges == merges_at {
@@ -793,7 +930,14 @@ impl EGraph {
         outputs: &[ELit],
         arena: &mut Mig,
     ) -> Option<Vec<Signal>> {
-        const SWEEP_CAP: usize = 10_000;
+        let choice = self.choose(objective, outputs)?;
+        self.emit(&choice, outputs, arena)
+    }
+
+    /// The extraction choice under `objective`: per root class, the
+    /// index of its chosen node (`usize::MAX` = leaf, `None` = no
+    /// finite-cost representative).
+    fn choose(&self, objective: Objective, outputs: &[ELit]) -> Option<Vec<Option<usize>>> {
         let n = self.uf.len();
         // Per root class: (primary, secondary, chosen node index;
         // usize::MAX = leaf).
@@ -807,96 +951,54 @@ impl EGraph {
         // Bottom-up fixpoint: a node's size cost is 1 + Σ child costs,
         // its depth cost 1 + max child depth; rounds repeat until no
         // class improves. Chosen structures are acyclic because the
-        // primary metric strictly decreases child-ward.
-        //
-        // Dirty-frontier scheduling: a class is only re-evaluated when a
-        // child class's cost changed since its last evaluation (the
-        // union-find is frozen during extraction, so the parent lists
-        // are stable). Re-evaluating with unchanged children reproduces
-        // candidate costs that already lost the strict `<` comparison,
-        // so skipping them cannot change any assignment — and because
-        // costs fall monotonically as children fall, every class
-        // converges to the min over its candidates' final costs, with
-        // the same `idx` tiebreak the full sweep produces. In-round
-        // visibility matches the full sweep exactly: classes are visited
-        // in ascending order, so a parent above the changed child joins
-        // the current round and a parent at or below it waits for the
-        // next. On depth extractions of near-converged e-graphs this
-        // turns O(rounds · classes) rescans into work proportional to
-        // the cone that actually changed.
-        let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for c in 0..n {
+        // primary metric strictly decreases child-ward. Costs fall
+        // monotonically as children fall, so every class converges to
+        // the min over its candidates' final costs, with the same `idx`
+        // tiebreak a full sweep produces ([`Frontier`]). On depth
+        // extractions of near-converged e-graphs this turns
+        // O(rounds · classes) rescans into work proportional to the
+        // cone that actually changed.
+        let mut frontier = Frontier::new(self);
+        frontier.run(|c| {
             if self.uf[c].class() != c as u32 {
-                continue;
+                return false;
             }
-            for &(node, _) in &self.nodes[c] {
+            let mut improved = false;
+            for (idx, &(node, _)) in self.nodes[c].iter().enumerate() {
+                let mut size: u64 = 1;
+                let mut depth: u64 = 0;
+                let mut viable = true;
                 for kid in node {
                     let kc = self.find_nc(kid).class() as usize;
-                    parents[kc].push(c as u32);
+                    match best[kc] {
+                        Some((s, d, _)) => {
+                            let (ks, kd) = match structural {
+                                Objective::SizeThenDepth => (s, d),
+                                _ => (d, s),
+                            };
+                            size = size.saturating_add(ks);
+                            depth = depth.max(kd + 1);
+                        }
+                        None => {
+                            viable = false;
+                            break;
+                        }
+                    }
                 }
-            }
-        }
-        for list in &mut parents {
-            list.sort_unstable();
-            list.dedup();
-        }
-        let mut dirty_now = vec![true; n];
-        let mut dirty_next = vec![false; n];
-        for _ in 0..SWEEP_CAP {
-            for c in 0..n {
-                if !dirty_now[c] || self.uf[c].class() != c as u32 {
+                if !viable {
                     continue;
                 }
-                let mut improved = false;
-                for (idx, &(node, _)) in self.nodes[c].iter().enumerate() {
-                    let mut size: u64 = 1;
-                    let mut depth: u64 = 0;
-                    let mut viable = true;
-                    for kid in node {
-                        let kc = self.find_nc(kid).class() as usize;
-                        match best[kc] {
-                            Some((s, d, _)) => {
-                                let (ks, kd) = match structural {
-                                    Objective::SizeThenDepth => (s, d),
-                                    _ => (d, s),
-                                };
-                                size = size.saturating_add(ks);
-                                depth = depth.max(kd + 1);
-                            }
-                            None => {
-                                viable = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !viable {
-                        continue;
-                    }
-                    let cand = match structural {
-                        Objective::SizeThenDepth => (size, depth, idx),
-                        _ => (depth, size, idx),
-                    };
-                    if best[c].is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                        best[c] = Some(cand);
-                        improved = true;
-                    }
-                }
-                if improved {
-                    for &p in &parents[c] {
-                        if (p as usize) > c {
-                            dirty_now[p as usize] = true;
-                        } else {
-                            dirty_next[p as usize] = true;
-                        }
-                    }
+                let cand = match structural {
+                    Objective::SizeThenDepth => (size, depth, idx),
+                    _ => (depth, size, idx),
+                };
+                if best[c].is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
+                    best[c] = Some(cand);
+                    improved = true;
                 }
             }
-            if !dirty_next.iter().any(|&d| d) {
-                break;
-            }
-            std::mem::swap(&mut dirty_now, &mut dirty_next);
-            dirty_next.fill(false);
-        }
+            improved
+        });
         // The tree-cost fixpoint ignores sharing: a class used by many
         // chosen parents is paid for once in the DAG but Σ-counted once
         // per use, so extraction can prefer a "cheap tree" over a
@@ -906,7 +1008,9 @@ impl EGraph {
         // class count (== emitted gate count before strashing) drops.
         // Acyclicity is kept by restricting every switch to nodes whose
         // children have strictly smaller converged tree cost than their
-        // class — any mix of such choices terminates child-ward.
+        // class — any mix of such choices terminates child-ward. The
+        // marginal costs fall monotonically too, so the recost sweeps
+        // run on the same frontier schedule.
         let mut choice: Vec<Option<usize>> = best.iter().map(|b| b.map(|(_, _, i)| i)).collect();
         if structural == Objective::SizeThenDepth {
             let out_classes: Vec<usize> = outputs
@@ -923,53 +1027,50 @@ impl EGraph {
                         mcost[c] = Some(0);
                     }
                 }
-                for _ in 0..SWEEP_CAP {
-                    let mut changed = false;
-                    for c in 0..n {
-                        if self.uf[c].class() != c as u32 || self.leaf[c].is_some() {
-                            continue;
-                        }
-                        let Some((tp, _, _)) = best[c] else { continue };
-                        let mut class_best: Option<(u64, usize)> = None;
-                        for (idx, &(node, _)) in self.nodes[c].iter().enumerate() {
-                            let mut cost: u64 = 1;
-                            let mut safe = true;
-                            for kid in node {
-                                let kc = self.find_nc(kid).class() as usize;
-                                match best[kc] {
-                                    Some((kp, _, _)) if kp < tp => {
-                                        if !used[kc] {
-                                            match mcost[kc] {
-                                                Some(m) => cost = cost.saturating_add(m),
-                                                None => {
-                                                    safe = false;
-                                                    break;
-                                                }
+                frontier.run(|c| {
+                    if self.uf[c].class() != c as u32 || self.leaf[c].is_some() {
+                        return false;
+                    }
+                    let Some((tp, _, _)) = best[c] else {
+                        return false;
+                    };
+                    let mut class_best: Option<(u64, usize)> = None;
+                    for (idx, &(node, _)) in self.nodes[c].iter().enumerate() {
+                        let mut cost: u64 = 1;
+                        let mut safe = true;
+                        for kid in node {
+                            let kc = self.find_nc(kid).class() as usize;
+                            match best[kc] {
+                                Some((kp, _, _)) if kp < tp => {
+                                    if !used[kc] {
+                                        match mcost[kc] {
+                                            Some(m) => cost = cost.saturating_add(m),
+                                            None => {
+                                                safe = false;
+                                                break;
                                             }
                                         }
                                     }
-                                    _ => {
-                                        safe = false;
-                                        break;
-                                    }
+                                }
+                                _ => {
+                                    safe = false;
+                                    break;
                                 }
                             }
-                            if safe && class_best.is_none_or(|(bc, _)| cost < bc) {
-                                class_best = Some((cost, idx));
-                            }
                         }
-                        if let Some((cost, idx)) = class_best {
-                            if mcost[c].is_none_or(|m| cost < m) {
-                                mcost[c] = Some(cost);
-                                cand[c] = Some(idx);
-                                changed = true;
-                            }
+                        if safe && class_best.is_none_or(|(bc, _)| cost < bc) {
+                            class_best = Some((cost, idx));
                         }
                     }
-                    if !changed {
-                        break;
+                    match class_best {
+                        Some((cost, idx)) if mcost[c].is_none_or(|m| cost < m) => {
+                            mcost[c] = Some(cost);
+                            cand[c] = Some(idx);
+                            true
+                        }
+                        _ => false,
                     }
-                }
+                });
                 let new_used = self.used_classes(&cand, &out_classes)?;
                 let new_gates = Self::count_gates(&new_used, &cand);
                 if new_gates < gates {
@@ -981,9 +1082,19 @@ impl EGraph {
                 }
             }
         }
-        // Emit the chosen representatives bottom-up with an explicit
-        // stack (e-graph depth is unbounded by the input's depth).
-        let mut built: Vec<Option<Signal>> = vec![None; n];
+        Some(choice)
+    }
+
+    /// Emits the chosen representatives of `outputs` into `arena`
+    /// bottom-up with an explicit stack (e-graph depth is unbounded by
+    /// the input's depth).
+    fn emit(
+        &mut self,
+        choice: &[Option<usize>],
+        outputs: &[ELit],
+        arena: &mut Mig,
+    ) -> Option<Vec<Signal>> {
+        let mut built: Vec<Option<Signal>> = vec![None; self.uf.len()];
         let mut stack: Vec<u32> = Vec::new();
         for &out in outputs {
             stack.push(self.find(out).class());
@@ -1470,10 +1581,99 @@ impl Pass for EsatPass {
 }
 
 #[cfg(test)]
+#[path = "esat_reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::opt::pipeline::Flow;
     use crate::OptContext;
+
+    /// Steps saturation one sweep at a time. At every sweep the flat
+    /// matcher's round-robin walk must yield exactly the reference's
+    /// materialized interleave; the sweep then applies that order under
+    /// the node cap, as `saturate` does.
+    fn assert_apply_order_matches_reference(g: &mut EGraph, iters: usize, cap: usize) {
+        let scan_cap = EsatConfig::default().scan_cap;
+        let mut matches = Matches::default();
+        for sweep in 0..iters {
+            if g.num_enodes() >= cap {
+                break;
+            }
+            g.matches(scan_cap, &mut matches);
+            let order: Vec<Action> = matches.round_robin().collect();
+            let reference = g.reference_matches(scan_cap);
+            assert_eq!(order.len(), reference.len(), "sweep {sweep}");
+            assert!(order == reference, "sweep {sweep}: apply order differs");
+            for action in order {
+                if g.num_enodes() >= cap {
+                    break;
+                }
+                g.apply(action);
+            }
+            g.rebuild();
+        }
+    }
+
+    /// Both objectives' extraction choices equal the reference's, and
+    /// so do the graphs emitted from them.
+    fn assert_extraction_matches_reference(g: &mut EGraph, outs: &[ELit], like: &Mig) {
+        for obj in [Objective::SizeThenDepth, Objective::DepthThenSize] {
+            let choice = g.choose(obj, outs);
+            assert_eq!(choice, g.reference_choose(obj, outs), "{obj:?}");
+            let choice = choice.expect("seeded graphs extract");
+            let mut bufs = OptBuffers::new();
+            let mut emitted = bufs.fresh_arena(like);
+            let sigs = g.extract_into(obj, outs, &mut emitted).unwrap();
+            let mut reference = bufs.fresh_arena(like);
+            let ref_sigs = g.emit(&choice, outs, &mut reference).unwrap();
+            for ((name, _), (s, r)) in like.outputs().iter().zip(sigs.into_iter().zip(ref_sigs)) {
+                emitted.add_output(name.clone(), s);
+                reference.add_output(name.clone(), r);
+            }
+            assert!(emitted.same_structure(&reference), "{obj:?}");
+        }
+    }
+
+    #[test]
+    fn flat_matcher_and_frontier_recost_match_the_reference_on_rules() {
+        for rule in EsatRule::ALL {
+            for flip in [false, true] {
+                let mut g = EGraph::with_inputs(5);
+                let mut env = fresh_env(&mut g);
+                env[0] = env[0].complement_if(flip);
+                env[3] = env[3].complement_if(flip);
+                let outs: Vec<ELit> = rule
+                    .elit_instances(&mut g, env)
+                    .into_iter()
+                    .flat_map(|(l, r)| [l, r])
+                    .collect();
+                assert_apply_order_matches_reference(&mut g, 4, 5_000);
+                let mut like = Mig::new("rule");
+                for i in 0..5 {
+                    like.add_input(format!("x{i}"));
+                }
+                assert_extraction_matches_reference(&mut g, &outs, &like);
+            }
+        }
+    }
+
+    #[test]
+    fn flat_matcher_and_frontier_recost_match_the_reference_on_mcnc() {
+        for (bench, cap) in [
+            ("count", 6_000),
+            ("my_adder", 6_000),
+            ("cla", 4_000),
+            ("b9", 4_000),
+        ] {
+            let net = mig_benchgen::generate(bench).expect("known benchmark");
+            let mig = Mig::from_network(&net).cleanup();
+            let (mut g, outs) = seed(&mig, &[]);
+            assert_apply_order_matches_reference(&mut g, 3, cap);
+            assert_extraction_matches_reference(&mut g, &outs, &mig);
+        }
+    }
 
     fn fresh_env(g: &mut EGraph) -> [ELit; 5] {
         [g.input(0), g.input(1), g.input(2), g.input(3), g.input(4)]

@@ -32,10 +32,11 @@
 //! ```
 //!
 //! Whitespace around tokens is ignored. `pass*N` runs the pass `N`
-//! times; a bare `pass*` repeats the pass until its own success metric
-//! stops improving ([`Pass::improved`] — the objective cost for most
-//! passes, the activity value for `activity`; capped at
-//! [`CONVERGE_CAP`] iterations). The paper's Table I flow is the script
+//! times (once a run returns its input unchanged, the rest are
+//! recorded as copies instead); a bare `pass*` repeats the pass until
+//! its own success metric stops improving ([`Pass::improved`] — the
+//! objective cost for most passes, the activity value for `activity`;
+//! capped at [`CONVERGE_CAP`] iterations). The paper's Table I flow is the script
 //! `"size; depth; activity"`.
 //!
 //! # Example
@@ -244,6 +245,13 @@ pub struct PassReport {
     /// Human-readable detail for degraded outcomes (panic message,
     /// breached limit, failed check); `None` for clean completions.
     pub note: Option<String>,
+    /// The pass [`Completed`](PassOutcome::Completed) and returned a
+    /// graph structurally identical to its input
+    /// ([`Mig::same_structure`]): the input is the pass's fixpoint.
+    /// Degraded outcomes are never marked. A `pass*n` flow step stops
+    /// executing after such a run and records its remaining
+    /// repetitions as copies of this report with `millis` 0.
+    pub unchanged: bool,
 }
 
 /// Shared state of one optimization pipeline.
@@ -457,6 +465,7 @@ impl OptContext {
                     after: before,
                     outcome: PassOutcome::Skipped,
                     note: Some(format!("run deadline of {total} ms already exhausted")),
+                    unchanged: false,
                 });
                 return mig;
             }
@@ -465,7 +474,7 @@ impl OptContext {
         let start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| pass.run(self, mig)));
         let millis = start.elapsed().as_secs_f64() * 1e3;
-        let (out, outcome, note) = match result {
+        let (out, outcome, note, unchanged) = match result {
             Err(payload) => {
                 self.recover_after_failure();
                 let detail = panic_message(payload.as_ref());
@@ -473,9 +482,14 @@ impl OptContext {
                     snapshot,
                     PassOutcome::RolledBack,
                     Some(format!("pass panicked ({detail}); checkpoint restored")),
+                    false,
                 )
             }
-            Ok(out) => self.admit(snapshot, out, millis),
+            Ok(out) => {
+                let unchanged = out.same_structure(&snapshot);
+                let (out, outcome, note) = self.admit(snapshot, out, millis);
+                (out, outcome, note, unchanged && !outcome.degraded())
+            }
         };
         let after = self.metrics_of(&out);
         self.ledger.push(PassReport {
@@ -485,6 +499,7 @@ impl OptContext {
             after,
             outcome,
             note,
+            unchanged,
         });
         out
     }
@@ -1042,7 +1057,9 @@ impl Flow {
 
     /// Runs the flow on `mig` through the shared context. `effort` is
     /// the iteration budget handed to every pass ([`PassKind::build`]);
-    /// each executed pass appends one entry to the context's ledger.
+    /// each pass repetition appends one entry to the context's ledger
+    /// (a repetition after an [`unchanged`](PassReport::unchanged) run
+    /// is recorded as a copy instead of executed).
     pub fn run(&self, mig: Mig, effort: usize, ctx: &mut OptContext) -> Mig {
         self.run_observed(mig, effort, ctx, |_| {})
     }
@@ -1066,9 +1083,25 @@ impl Flow {
             let pass = step.pass.build(effort);
             match step.repeat {
                 Repeat::Times(n) => {
-                    for _ in 0..n {
+                    for i in 0..n {
                         cur = ctx.run_pass(&*pass, cur);
-                        observe(ctx.ledger().last().expect("run_pass appends"));
+                        let report = ctx.ledger().last().expect("run_pass appends");
+                        observe(report);
+                        if report.unchanged {
+                            // A deterministic pass maps its fixpoint to
+                            // itself: every remaining repetition would
+                            // reproduce this report but for its wall
+                            // time, so record it without running it.
+                            let repeat = PassReport {
+                                millis: 0.0,
+                                ..report.clone()
+                            };
+                            for _ in i + 1..n {
+                                observe(&repeat);
+                                ctx.ledger.push(repeat.clone());
+                            }
+                            break;
+                        }
                     }
                 }
                 Repeat::Converge => {

@@ -306,6 +306,7 @@ pub fn run_flow_session(
             after: Snapshot::of(&cleaned),
             outcome: mig_core::PassOutcome::Completed,
             note: None,
+            unchanged: false,
         };
         observe(&report);
         stages.push(report);
@@ -434,6 +435,7 @@ pub fn run_map_with(
             after: Snapshot::of(&cleaned),
             outcome: mig_core::PassOutcome::Completed,
             note: None,
+            unchanged: false,
         });
     }
     let cur = match flow {

@@ -2,11 +2,16 @@
 //! generated scripts, and every canned flow (plus randomized ones) is a
 //! semantics-preserving transformation on a SplitMix64 netlist corpus,
 //! bit-identically for any `--jobs` setting, with the incremental level
-//! mirror equal to a from-scratch recomputation after every pass.
+//! mirror equal to a from-scratch recomputation after every pass. A
+//! `pass*n` step stops executing once a run returns its input unchanged
+//! and records the remaining repetitions as copies.
 
 use mig_suite::benchgen::{layered_random, RandomLogicParams};
 use mig_suite::mig::opt::pipeline::CONVERGE_CAP;
-use mig_suite::mig::{Flow, FlowStep, LevelMap, Mig, OptContext, PassKind, Repeat, Signal};
+use mig_suite::mig::{
+    Budget, Flow, FlowStep, LevelMap, Mig, OptContext, PassKind, PassMetrics, PassOutcome,
+    PassReport, Repeat, Signal,
+};
 use mig_suite::netlist::SplitMix64;
 
 /// Number of 64-pattern blocks for the random half of equivalence checks.
@@ -231,4 +236,131 @@ fn flow_script_drives_the_cli_pipeline() {
     assert!(o.mig_equiv && o.net_equiv, "flow must verify");
     assert!(o.after.size <= o.before.size);
     assert!(!o.stages.is_empty());
+}
+
+/// Runs `size` on `mig` until a run reports its input as its fixpoint.
+fn size_fixpoint(mig: Mig) -> Mig {
+    let pass = PassKind::Size.build(1);
+    let mut ctx = OptContext::with_jobs(1);
+    let mut cur = mig;
+    for _ in 0..CONVERGE_CAP {
+        cur = ctx.run_pass(&*pass, cur);
+        if ctx.ledger().last().expect("run_pass appends").unchanged {
+            return cur;
+        }
+    }
+    panic!("size never reached a structural fixpoint");
+}
+
+/// The ledger fields a repetition copy shares with the run it copies.
+fn non_timing(
+    r: &PassReport,
+) -> (
+    String,
+    PassMetrics,
+    PassMetrics,
+    PassOutcome,
+    Option<String>,
+    bool,
+) {
+    (
+        r.pass.clone(),
+        r.before,
+        r.after,
+        r.outcome,
+        r.note.clone(),
+        r.unchanged,
+    )
+}
+
+#[test]
+fn repeat_after_a_fixpoint_run_is_recorded_not_rerun() {
+    let fixpoint = size_fixpoint(corpus().swap_remove(0));
+    let mut ctx = OptContext::with_jobs(1);
+    let mut observed = 0;
+    let out = Flow::parse("size*2")
+        .unwrap()
+        .run_observed(fixpoint.clone(), 1, &mut ctx, |_| observed += 1);
+    let ledger = ctx.take_ledger();
+    assert_eq!(ledger.len(), 2, "one entry per repetition");
+    assert_eq!(observed, 2, "the observer sees the copy too");
+    assert!(ledger[0].unchanged);
+    assert_eq!(ledger[1].millis, 0.0, "the second repetition never ran");
+    assert_eq!(non_timing(&ledger[0]), non_timing(&ledger[1]));
+    assert!(out.same_structure(&fixpoint));
+}
+
+#[test]
+fn repeat_after_a_changing_run_still_executes() {
+    for (ci, mut mig) in corpus().into_iter().enumerate() {
+        // An extra output M(a, b, M(a, b, c)) = M(a, b, c) that
+        // Algorithm 1 folds, so the first run changes the graph.
+        let (a, b, c) = (mig.input(0), mig.input(1), mig.input(2));
+        let inner = mig.maj(a, b, c);
+        let redundant = mig.maj(a, b, inner);
+        mig.add_output("redundant", redundant);
+        let mut ctx = OptContext::with_jobs(1);
+        let flowed = Flow::parse("size*2").unwrap().run(mig.clone(), 1, &mut ctx);
+        let ledger = ctx.take_ledger();
+        assert!(
+            !ledger[0].unchanged,
+            "circuit {ci}: size must change the raw import"
+        );
+        assert!(
+            ledger[1].millis > 0.0,
+            "circuit {ci}: the second run executed"
+        );
+
+        let pass = PassKind::Size.build(1);
+        let mut manual_ctx = OptContext::with_jobs(1);
+        manual_ctx.begin_run();
+        let once = manual_ctx.run_pass(&*pass, mig);
+        let manual = manual_ctx.run_pass(&*pass, once);
+        assert_bit_identical(&flowed, &manual, &format!("circuit {ci}"));
+        let manual_ledger = manual_ctx.take_ledger();
+        for (f, m) in ledger.iter().zip(&manual_ledger) {
+            assert_eq!(non_timing(f), non_timing(m), "circuit {ci}");
+        }
+    }
+}
+
+#[test]
+fn budget_rollbacks_never_count_as_unchanged() {
+    // A timed-out run hands back its checkpoint, which is structurally
+    // its input; that must not stop the remaining repetitions.
+    let fixpoint = size_fixpoint(corpus().swap_remove(1));
+    let mut ctx = OptContext::with_jobs(1);
+    ctx.set_budget(Budget {
+        pass_ms: Some(0),
+        ..Budget::default()
+    });
+    let out = Flow::parse("size*3")
+        .unwrap()
+        .run(fixpoint.clone(), 1, &mut ctx);
+    let ledger = ctx.take_ledger();
+    assert_eq!(ledger.len(), 3);
+    for r in &ledger {
+        assert_eq!(r.outcome, PassOutcome::TimedOut);
+        assert!(!r.unchanged);
+        assert!(r.millis > 0.0, "every repetition ran");
+    }
+    assert!(out.same_structure(&fixpoint));
+
+    // A node-cap rollback: the algebraic depth pass trades size for
+    // depth on a carry chain, so under a cap below its result it is
+    // rolled back (and the checkpoint is again structurally its input).
+    let mig = Mig::from_network(&mig_suite::benchgen::generate("my_adder").unwrap());
+    let mut ctx = OptContext::with_jobs(1);
+    ctx.set_budget(Budget {
+        max_nodes: Some(1),
+        ..Budget::default()
+    });
+    Flow::parse("depth*2").unwrap().run(mig, 1, &mut ctx);
+    let ledger = ctx.take_ledger();
+    assert_eq!(ledger.len(), 2);
+    for r in &ledger {
+        assert_eq!(r.outcome, PassOutcome::RolledBack, "{:?}", r.note);
+        assert!(!r.unchanged);
+        assert!(r.millis > 0.0, "every repetition ran");
+    }
 }
