@@ -1,11 +1,9 @@
 //! # Reduced Ordered Binary Decision Diagrams
 //!
-//! A complement-edge ROBDD manager ([`Bdd`]), static variable-ordering
-//! heuristics ([`reorder`]) and a BDS-style decomposition flow
-//! ([`bds_optimize`]) written for the paper's "BDD Decomposition"
-//! baseline column. Nothing else in the workspace uses this crate, and
-//! it is not an equivalence checker: every verdict goes through
-//! `mig_sim`.
+//! A complement-edge ROBDD manager ([`Bdd`]), the remainder of the
+//! package written for the paper's "BDD Decomposition" baseline column.
+//! Nothing else in the workspace uses this crate, and it is not an
+//! equivalence checker: every verdict goes through `mig_sim`.
 //!
 //! # Example
 //!
@@ -20,8 +18,5 @@
 //! ```
 
 mod bdd;
-pub mod decompose;
-pub mod reorder;
 
 pub use crate::bdd::{Bdd, BddRef};
-pub use decompose::{bds_optimize, build_network_bdds, decompose_to_network};

@@ -499,8 +499,94 @@ impl RewriteCache {
         std::mem::swap(&mut self.slots, &mut self.t_slots);
         std::mem::swap(&mut self.prev_fanout, &mut self.t_prev_fanout);
         self.key = Some((new.rewrite_stamp(), n_new));
+        #[cfg(debug_assertions)]
+        if let Err(e) = self.check_translation(new) {
+            panic!("RewriteCache::translate shadow check: {e}");
+        }
+    }
+
+    /// Shadow check of [`translate`](RewriteCache::translate), run after
+    /// every translation in debug builds (so throughout the test
+    /// suite): every cut a clean node carries must be well-formed in
+    /// `mig` — leaves sorted, distinct, non-constant and strictly below
+    /// the node, signature matching, the unit cut last — and its truth
+    /// table must be the cut function of the new graph: on
+    /// [`SHADOW_WORDS`] words of simulation patterns, the node's value
+    /// equals `tt` applied to its leaves' values.
+    ///
+    /// The function is checked through whole-graph simulation, not by
+    /// simulating the cone between leaves and node: a clean node may
+    /// keep cuts that are no longer structural cuts of the new graph
+    /// (a fanin below it was rebuilt, or merged into an equivalent
+    /// node), which the next sweep re-enumerates or which stay sound
+    /// because every leaf keeps its function.
+    #[cfg(debug_assertions)]
+    fn check_translation(&self, mig: &Mig) -> Result<(), String> {
+        let mut sim = vec![[0u64; SHADOW_WORDS]; mig.num_nodes()];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for words in &mut sim[1..=mig.num_inputs()] {
+            for w in words.iter_mut() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *w = x;
+            }
+        }
+        for node in mig.gate_ids() {
+            let [a, b, c] = mig.children(node).map(|s| {
+                let w = sim[s.node().index()];
+                if s.is_complemented() {
+                    w.map(|v| !v)
+                } else {
+                    w
+                }
+            });
+            sim[node.index()] =
+                std::array::from_fn(|i| (a[i] & b[i]) | (a[i] & c[i]) | (b[i] & c[i]));
+        }
+        for node in mig.gate_ids() {
+            let idx = node.index();
+            if self.dirty[idx] {
+                continue;
+            }
+            let start = idx * self.stride;
+            let cuts = &self.cuts[start..start + self.ncuts[idx] as usize];
+            if cuts.last() != Some(&Cut::unit(idx)) {
+                return Err(format!("clean node {idx} lacks its unit cut: {cuts:?}"));
+            }
+            for cut in &cuts[..cuts.len() - 1] {
+                let leaves = cut.leaves();
+                let well_formed = leaves.windows(2).all(|w| w[0] < w[1])
+                    && leaves.iter().all(|&l| l != 0 && (l as usize) < idx)
+                    && cut.sign == leaves.iter().fold(0, |s, &l| s | leaf_sign(l));
+                if !well_formed {
+                    return Err(format!("node {idx}: malformed cut {cut:?}"));
+                }
+                for (w, &node_value) in sim[idx].iter().enumerate() {
+                    let vars: Vec<u64> = leaves.iter().map(|&l| sim[l as usize][w]).collect();
+                    let minterm = |m: usize| {
+                        vars.iter().enumerate().fold(!0u64, |acc, (v, &x)| {
+                            acc & if (m >> v) & 1 == 1 { x } else { !x }
+                        })
+                    };
+                    let value = (0..1usize << leaves.len())
+                        .filter(|&m| (cut.tt >> m) & 1 == 1)
+                        .fold(0u64, |acc, m| acc | minterm(m));
+                    if value != node_value {
+                        return Err(format!(
+                            "node {idx}: {cut:?} disagrees with simulation (word {w})"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
+
+/// 64-pattern words of the [`RewriteCache::translate`] shadow check.
+#[cfg(debug_assertions)]
+const SHADOW_WORDS: usize = 2;
 
 /// Installs the constant node's empty cut and one unit cut per input.
 fn base_cuts(cuts: &mut [Cut], ncuts: &mut [u8], dirty: &mut [bool], stride: usize, inputs: usize) {
@@ -1714,6 +1800,31 @@ mod tests {
             check_cuts_against_simulation(&copy, &rc, node);
         }
         assert!(carried > 0, "a verbatim rebuild must carry cuts over");
+    }
+
+    #[test]
+    fn translation_rewires_a_complemented_root() {
+        // A rebuild that maps a carried node onto a complemented signal
+        // (two complemented fanins store the inverted node) must flip
+        // its truth tables: checked by the shadow check inside
+        // `translate` (debug builds) and by exhaustive simulation here.
+        // (A fourth, unused input keeps the probe simulation at 16 rows.)
+        let (mut old, a, b, c) = three_inputs();
+        old.add_input("d");
+        let g = old.maj(a, b, c);
+        old.add_output("y", g);
+        let mut rc = RewriteCache::default();
+        enumerate_for_test(&old, 4, 8, &mut rc);
+        let (mut new, na, nb, nc) = three_inputs();
+        let nd = new.add_input("d");
+        let h = new.maj(!na, !nb, nc);
+        assert!(h.is_complemented(), "Ω.I stores the inverted node");
+        new.add_output("y", h);
+        let map = vec![Signal::FALSE, !na, !nb, nc, nd, h];
+        rc.translate(&old, &new, &map);
+        assert!(!rc.dirty[h.node().index()], "the node keeps its cuts");
+        assert!(rc.ncuts[h.node().index()] > 1, "beyond the unit cut");
+        check_cuts_against_simulation(&new, &rc, h.node());
     }
 
     /// Asserts every stored cut of `node` matches exhaustive simulation.

@@ -1,9 +1,10 @@
-//! # Benchmark harness for the MIG suite
+//! The benchmark harness behind `mighty bench`.
 //!
 //! Runs an optimization flow (default: the size → rewrite → depth →
-//! activity pipeline) over the generated MCNC suite through the
-//! composable pass manager ([`mig_core::Flow`] / [`mig_core::OptContext`]),
-//! timing every executed pass via the context's wall-time ledger, and
+//! activity pipeline) over the generated MCNC suite through the same
+//! import → cleanup → flow → verify path as `mighty opt` (its ledger
+//! holds the flow's passes only, never the `cleanup` stage), timing
+//! every executed pass via the pass manager's wall-time ledger, and
 //! serializes the result as `BENCH_opt.json` in a stable schema so
 //! successive PRs accumulate a performance trajectory (compare the
 //! committed file against a fresh run to spot regressions).
@@ -103,22 +104,25 @@
 //! machine-dependent and meant for *relative* comparison on one machine.
 //!
 //! ```
-//! use mig_bench::{run_suite, BenchConfig};
+//! use mig_mighty::bench::{run_suite, to_json, BenchConfig};
 //!
 //! let cfg = BenchConfig { names: vec!["my_adder".into()], ..BenchConfig::quick() };
 //! let report = run_suite(&cfg);
 //! assert!(report.all_ok());
 //! assert_eq!(report.benchmarks.len(), 1);
-//! assert!(mig_bench::to_json(&report).contains("\"schema\": \"mig-bench/v8\""));
+//! assert!(to_json(&report).contains("\"schema\": \"mig-bench/v8\""));
 //! ```
 
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mig_core::{Budget, Flow, LevelStats, Mig, OptContext, RewriteConfig};
-use mig_techmap::{map_mig, CellLibrary, MapConfig};
+use mig_core::{Flow, LevelStats, Mig, OptContext, PassMetrics, PassReport, RewriteConfig};
+use mig_netlist::Network;
+use mig_techmap::CellLibrary;
+
+use crate::serve::SweepResult;
+use crate::{map_verified, optimize, RunOptions};
 
 /// The canonical default flow: the v3 harness's fixed size → rewrite →
 /// depth → activity pipeline as a flow script.
@@ -176,23 +180,12 @@ pub struct BenchConfig {
     pub jobs: usize,
     /// Flow script to run (`None` = [`DEFAULT_FLOW`]).
     pub flow: Option<String>,
-    /// Per-benchmark wall-clock deadline in milliseconds (`None` =
-    /// unlimited): once exhausted, remaining passes of that circuit's
-    /// flow are skipped and recorded as such.
-    pub timeout_ms: Option<u64>,
-    /// Per-pass wall-clock limit in milliseconds (`None` = unlimited):
-    /// a pass running longer is rolled back and recorded as timed out.
-    pub pass_timeout_ms: Option<u64>,
-    /// Node-count growth cap (`None` = unlimited): a pass growing the
-    /// graph beyond the cap is rolled back.
-    pub max_nodes: Option<usize>,
-    /// Simulation spot check after every pass: a pass whose result
-    /// fails a randomized equivalence probe against its own input is
-    /// rolled back instead of poisoning the rest of the flow.
-    pub selfcheck: bool,
+    /// Budget and spot check of every flow run, as for `mighty opt`
+    /// (the deadline applies per circuit and flow).
+    pub opts: RunOptions,
     /// Run the v6 equality-saturation head-to-head ([`ESAT_FLOW`] vs
     /// [`ESAT_REF_FLOW`]) per benchmark. On by default; turning it off
-    /// drops the `esat` objects from the JSON (the schema tag stays v7).
+    /// drops the `esat` objects from the JSON (the schema tag stays v8).
     pub esat: bool,
     /// Which tier(s) to run: `"mcnc"` (default), `"large"` or `"all"`.
     /// Explicit `names` go to the selected tier (`"all"` partitions
@@ -213,10 +206,7 @@ impl BenchConfig {
             rounds: 8,
             jobs: 0,
             flow: None,
-            timeout_ms: None,
-            pass_timeout_ms: None,
-            max_nodes: None,
-            selfcheck: false,
+            opts: RunOptions::default(),
             esat: true,
             suite: "mcnc".into(),
         }
@@ -225,41 +215,13 @@ impl BenchConfig {
     /// CI defaults: effort 1, biggest circuits skipped.
     pub fn quick() -> Self {
         BenchConfig {
-            names: Vec::new(),
             quick: true,
             effort: 1,
             rounds: 4,
-            jobs: 0,
-            flow: None,
-            timeout_ms: None,
-            pass_timeout_ms: None,
-            max_nodes: None,
-            selfcheck: false,
-            esat: true,
-            suite: "mcnc".into(),
-        }
-    }
-
-    /// The [`Budget`] this configuration asks the pass manager to
-    /// enforce per benchmark.
-    fn budget(&self) -> Budget {
-        Budget {
-            total_ms: self.timeout_ms,
-            pass_ms: self.pass_timeout_ms,
-            max_nodes: self.max_nodes,
+            ..Self::full()
         }
     }
 }
-
-/// Size/depth/activity of one MIG at one pipeline point (the pass
-/// manager's ledger metrics, re-exported under the harness's historic
-/// name).
-pub use mig_core::PassMetrics as Metrics;
-
-/// One timed pass execution — exactly the pass manager's ledger entry
-/// (name, wall time, metrics on both sides), re-exported under the
-/// harness's historic name.
-pub use mig_core::PassReport as PassResult;
 
 /// Mapped-cost record for one benchmark on one cell library: the
 /// optimized MIG technology-mapped by `mig_techmap` and verified at the
@@ -309,14 +271,14 @@ pub struct MemRecord {
     pub strash_slots: usize,
     /// Bytes of the structural-hash slot array.
     pub strash_bytes: usize,
-    /// Cut-cache entries held by the shared rewrite cache.
+    /// Cut-cache entries held by the record's rewrite cache.
     pub cache_entries: usize,
     /// Peak resident set size (`VmHWM`) while this record ran, in bytes;
     /// 0 where `/proc/self/status` is unavailable. The high-water mark
-    /// is reset to the current resident size before each record, so an
-    /// earlier, larger record's peak no longer carries over; memory the
-    /// process still holds from earlier records (allocator caches, the
-    /// shared context's buffers) does count. Where the kernel refuses
+    /// is reset to the current resident size before each record, and
+    /// each record runs on a fresh context, so an earlier record's
+    /// buffers are freed by then; memory the allocator keeps from
+    /// earlier records does count. Where the kernel refuses
     /// the reset, this is the process peak so far. Machine- and
     /// run-volatile: excluded from every bit-identity comparison.
     pub peak_rss_bytes: u64,
@@ -335,9 +297,9 @@ pub struct LargeRecord {
     /// Primary-output count of the imported circuit.
     pub outputs: usize,
     /// Size/depth of the imported (unoptimized) MIG.
-    pub import: Metrics,
+    pub import: PassMetrics,
     /// One entry per executed pass, in flow order.
-    pub passes: Vec<PassResult>,
+    pub passes: Vec<PassReport>,
     /// Sampled-simulation equivalence of the final result against the
     /// import.
     pub equiv: bool,
@@ -365,9 +327,9 @@ pub struct BenchRecord {
     /// Primary-output count of the imported circuit.
     pub outputs: usize,
     /// Metrics of the imported (unoptimized) MIG.
-    pub import: Metrics,
+    pub import: PassMetrics,
     /// One entry per executed pass, in flow order.
-    pub passes: Vec<PassResult>,
+    pub passes: Vec<PassReport>,
     /// MIG-level equivalence of the final result against the import.
     pub equiv: bool,
     /// True when the size-monotone passes honored their contracts:
@@ -416,31 +378,8 @@ pub struct BenchReport {
     pub serve: Option<ServeReport>,
 }
 
-/// One worker-count point of a `mighty serve --bench` load sweep.
-#[derive(Debug, Clone)]
-pub struct ServeSweep {
-    /// Worker threads the server ran.
-    pub workers: usize,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Jobs completed in the sweep.
-    pub jobs: usize,
-    /// Completed jobs per second.
-    pub jobs_per_sec: f64,
-    /// Median client-observed per-job latency, milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// Every response passed both equivalence checks.
-    pub verified: bool,
-    /// Every response was bit-identical to a local `mighty opt` run.
-    pub bit_identical: bool,
-}
-
 /// The serve-bench block of the v8 schema: the flow/effort every job
-/// ran, plus one [`ServeSweep`] per worker count.
+/// ran, plus one [`SweepResult`] per worker count.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Flow script every job executed.
@@ -448,7 +387,7 @@ pub struct ServeReport {
     /// Per-pass effort every job used.
     pub effort: usize,
     /// One entry per worker count, in sweep order.
-    pub sweeps: Vec<ServeSweep>,
+    pub sweeps: Vec<SweepResult>,
 }
 
 impl BenchReport {
@@ -534,32 +473,44 @@ impl BenchReport {
 /// against the import network. A panicking mapper forfeits only this
 /// record (reported as a zero-cell non-equivalent mapping) instead of
 /// aborting the whole suite.
-fn map_record(
-    cur: &Mig,
-    net: &mig_netlist::Network,
-    lib: &CellLibrary,
-    rounds: usize,
-) -> MappedRecord {
-    match catch_unwind(AssertUnwindSafe(|| {
-        map_mig(cur, lib, &MapConfig::default())
-    })) {
-        Ok(design) => MappedRecord {
-            library: lib.name.to_string(),
-            cells: design.num_cells(),
-            area: design.area(),
-            delay: design.delay(),
-            power: design.power(),
-            equiv: mig_sim::equivalent(net, &design.to_network(), rounds),
-        },
-        Err(_) => MappedRecord {
-            library: lib.name.to_string(),
-            cells: 0,
-            area: 0.0,
-            delay: 0.0,
-            power: 0.0,
-            equiv: false,
-        },
+fn map_record(cur: &Mig, net: &Network, lib: &CellLibrary, rounds: usize) -> MappedRecord {
+    let (cells, area, delay, power, equiv) = match map_verified(cur, net, lib, rounds) {
+        Ok((d, equiv)) => (d.num_cells(), d.area(), d.delay(), d.power(), equiv),
+        Err(_) => (0, 0.0, 0.0, 0.0, false),
+    };
+    MappedRecord {
+        library: lib.name.to_string(),
+        cells,
+        area,
+        delay,
+        power,
+        equiv,
     }
+}
+
+/// The ledger summary both tiers record: `(size_ok, total_millis,
+/// degraded)`. Size-monotonicity covers the `size`, `rewrite`,
+/// `depth_rewrite` and `esat` passes; the algebraic depth pass and the
+/// activity pass may trade size for their own metric by design.
+fn summarize(passes: &[PassReport]) -> (bool, f64, usize) {
+    let size_ok = passes
+        .iter()
+        .filter(|r| {
+            matches!(
+                r.pass.as_str(),
+                "size" | "rewrite" | "depth_rewrite" | "esat"
+            )
+        })
+        .all(|r| r.after.size <= r.before.size);
+    let total_millis = passes.iter().map(|p| p.millis).sum();
+    let degraded = passes.iter().filter(|r| r.outcome.degraded()).count();
+    (size_ok, total_millis, degraded)
+}
+
+/// Generates a named benchmark circuit.
+fn generate(name: &str) -> Network {
+    mig_benchgen::generate(name)
+        .unwrap_or_else(|| panic!("unknown benchmark `{name}` (see `mighty list`)"))
 }
 
 /// Peak resident set size of this process (`VmHWM`) in bytes; 0 where
@@ -595,24 +546,13 @@ fn resolve_names(config: &BenchConfig) -> (Vec<String>, Vec<String>) {
     if !config.names.is_empty() {
         // Explicit names go to the selected tier; `all` partitions by
         // large-tier membership (the tiers' name sets are disjoint).
-        let is_large = |n: &String| mig_benchgen::LARGE_NAMES.contains(&n.as_str());
+        let names = config.names.clone();
         return match config.suite.as_str() {
-            "mcnc" => (config.names.clone(), Vec::new()),
-            "large" => (Vec::new(), config.names.clone()),
-            _ => (
-                config
-                    .names
-                    .iter()
-                    .filter(|n| !is_large(n))
-                    .cloned()
-                    .collect(),
-                config
-                    .names
-                    .iter()
-                    .filter(|n| is_large(n))
-                    .cloned()
-                    .collect(),
-            ),
+            "mcnc" => (names, Vec::new()),
+            "large" => (Vec::new(), names),
+            _ => names
+                .into_iter()
+                .partition(|n| !mig_benchgen::LARGE_NAMES.contains(&n.as_str())),
         };
     }
     let mcnc = if want_mcnc {
@@ -637,62 +577,97 @@ fn resolve_names(config: &BenchConfig) -> (Vec<String>, Vec<String>) {
     (mcnc, large)
 }
 
+/// Runs one MCNC circuit through `flow` on the tier's shared context,
+/// then maps the result onto both stock libraries and, when `esat`
+/// holds the two head-to-head flows, runs them from the same import.
+fn run_mcnc(
+    name: &str,
+    flow: &Flow,
+    esat: Option<(&Flow, &Flow)>,
+    effort: usize,
+    rounds: usize,
+    opts: &RunOptions,
+    ctx: &mut OptContext,
+) -> BenchRecord {
+    let net = generate(name);
+    let job = optimize(&net, Some(flow), effort, rounds, opts, ctx, |_| {});
+    let (size_ok, total_millis, degraded) = summarize(&job.passes);
+    let mapped = map_record(&job.result, &net, &CellLibrary::cmos22(), rounds);
+    let mapped_nomaj = map_record(&job.result, &net, &CellLibrary::cmos22_no_maj(), rounds);
+    let esat = esat.map(|(esat_flow, ref_flow)| {
+        let e = optimize(&net, Some(esat_flow), effort, rounds, opts, ctx, |_| {});
+        let r = optimize(&net, Some(ref_flow), effort, rounds, opts, ctx, |_| {});
+        EsatRecord {
+            size: e.result.size(),
+            depth: e.result.depth(),
+            ref_size: r.result.size(),
+            ref_depth: r.result.depth(),
+            millis: summarize(&e.passes).1,
+            ref_millis: summarize(&r.passes).1,
+            equiv: e.mig_equiv(rounds) && r.mig_equiv(rounds),
+        }
+    });
+    BenchRecord {
+        name: name.to_string(),
+        inputs: job.import.num_inputs(),
+        outputs: job.import.num_outputs(),
+        import: job.before,
+        equiv: job.mig_equiv(rounds),
+        passes: job.passes,
+        size_ok,
+        mapped,
+        mapped_nomaj,
+        esat,
+        degraded,
+        total_millis,
+    }
+}
+
 /// Runs one large-tier circuit through `flow`, collecting the ledger,
-/// the level-maintenance counters and the memory footprint.
+/// the level-maintenance counters and the memory footprint. Each record
+/// runs on a fresh context: the previous record's arena pool, rewrite
+/// cache and level mirror are freed before the peak-RSS reset.
 fn run_large(
     name: &str,
     flow: &Flow,
     effort: usize,
     rounds: usize,
-    ctx: &mut OptContext,
+    jobs: usize,
+    opts: &RunOptions,
 ) -> LargeRecord {
     reset_peak_rss();
-    let net = mig_benchgen::generate(name)
-        .unwrap_or_else(|| panic!("unknown benchmark `{name}` (see `mighty list`)"));
-    let mig = Mig::from_network(&net);
-    let import = Metrics::of(&mig);
-    ctx.take_level_stats(); // drain counters left by earlier circuits
-    let cur = flow.run(mig.cleanup(), effort, ctx);
-    let passes = ctx.take_ledger();
-    let levels = ctx.take_level_stats();
-    let size_ok = passes
-        .iter()
-        .filter(|r| {
-            matches!(
-                r.pass.as_str(),
-                "size" | "rewrite" | "depth_rewrite" | "esat"
-            )
-        })
-        .all(|r| r.after.size <= r.before.size);
-    let total_millis = passes.iter().map(|p| p.millis).sum();
-    let degraded = passes.iter().filter(|r| r.outcome.degraded()).count();
+    let net = generate(name);
+    let mut ctx = OptContext::with_jobs(jobs);
+    let job = optimize(&net, Some(flow), effort, rounds, opts, &mut ctx, |_| {});
+    let (size_ok, total_millis, degraded) = summarize(&job.passes);
     let mem = MemRecord {
-        arena_bytes: cur.arena_bytes(),
-        strash_slots: cur.strash_slots(),
-        strash_bytes: cur.strash_bytes(),
+        arena_bytes: job.result.arena_bytes(),
+        strash_slots: job.result.strash_slots(),
+        strash_bytes: job.result.strash_bytes(),
         cache_entries: ctx.rewrite_cache_entries(),
         peak_rss_bytes: peak_rss_bytes(),
     };
     LargeRecord {
         name: name.to_string(),
-        inputs: mig.num_inputs(),
-        outputs: mig.num_outputs(),
-        import,
-        passes,
-        equiv: cur.equiv(&mig, rounds),
+        inputs: job.import.num_inputs(),
+        outputs: job.import.num_outputs(),
+        import: job.before,
+        equiv: job.mig_equiv(rounds),
+        passes: job.passes,
         size_ok,
         mem,
-        levels,
+        levels: ctx.take_level_stats(),
         degraded,
         total_millis,
     }
 }
 
 /// Runs the configured benchmarks through the flow, timing each pass
-/// via the shared [`OptContext`] ledger and verifying the final result.
-/// One context serves the whole suite, so arenas and rewrite caches are
+/// via the [`OptContext`] ledger and verifying the final result. One
+/// context serves the whole MCNC tier, so arenas and rewrite caches are
 /// recycled across circuits (wall time only — results are identical to
-/// fresh per-circuit contexts).
+/// fresh per-circuit contexts); it is dropped before the large tier,
+/// whose records each get a fresh one.
 ///
 /// # Panics
 ///
@@ -703,82 +678,29 @@ pub fn run_suite(config: &BenchConfig) -> BenchReport {
     let (names, large_names) = resolve_names(config);
     let effort = config.effort.max(1);
     let rounds = config.rounds.max(1);
-    let script = config.flow.as_deref().unwrap_or(DEFAULT_FLOW);
-    let flow = Flow::parse(script).unwrap_or_else(|e| panic!("bad flow script: {e}"));
+    let parse =
+        |script: &str| Flow::parse(script).unwrap_or_else(|e| panic!("bad flow script: {e}"));
+    let flow = parse(config.flow.as_deref().unwrap_or(DEFAULT_FLOW));
     // An explicit --flow drives both tiers; the tiers differ only in
     // their defaults (the large tier's skips the mapping-oriented
     // activity pass and adds the depth-rewrite perturbation).
-    let large_script = config.flow.as_deref().unwrap_or(LARGE_FLOW);
-    let large_flow = Flow::parse(large_script).unwrap_or_else(|e| panic!("bad flow script: {e}"));
-    let esat_flow = Flow::parse(ESAT_FLOW).expect("canonical esat flow parses");
-    let esat_ref_flow = Flow::parse(ESAT_REF_FLOW).expect("canonical reference flow parses");
+    let large_flow = parse(config.flow.as_deref().unwrap_or(LARGE_FLOW));
+    let esat_flows = (parse(ESAT_FLOW), parse(ESAT_REF_FLOW));
+    let esat = config.esat.then_some((&esat_flows.0, &esat_flows.1));
     let threads = RewriteConfig {
         jobs: config.jobs,
         ..RewriteConfig::default()
     }
     .resolved_jobs();
     let mut ctx = OptContext::with_jobs(config.jobs);
-    ctx.set_budget(config.budget());
-    if config.selfcheck {
-        ctx.set_spot_check(rounds);
-    }
-    let mut benchmarks = Vec::new();
-    for name in &names {
-        let net = mig_benchgen::generate(name)
-            .unwrap_or_else(|| panic!("unknown benchmark `{name}` (see `mighty list`)"));
-        let mig = Mig::from_network(&net);
-        let import = Metrics::of(&mig);
-        let cur = flow.run(mig.cleanup(), effort, &mut ctx);
-        let passes = ctx.take_ledger();
-        let size_ok = passes
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.pass.as_str(),
-                    "size" | "rewrite" | "depth_rewrite" | "esat"
-                )
-            })
-            .all(|r| r.after.size <= r.before.size);
-        let total_millis = passes.iter().map(|p| p.millis).sum();
-        let degraded = passes.iter().filter(|r| r.outcome.degraded()).count();
-        let mapped = map_record(&cur, &net, &CellLibrary::cmos22(), rounds);
-        let mapped_nomaj = map_record(&cur, &net, &CellLibrary::cmos22_no_maj(), rounds);
-        let esat = config.esat.then(|| {
-            let run_one = |ctx: &mut OptContext, f: &Flow| {
-                let out = f.run(mig.clone().cleanup(), effort, ctx);
-                let millis: f64 = ctx.take_ledger().iter().map(|p| p.millis).sum();
-                (out, millis)
-            };
-            let (esat_out, millis) = run_one(&mut ctx, &esat_flow);
-            let (ref_out, ref_millis) = run_one(&mut ctx, &esat_ref_flow);
-            EsatRecord {
-                size: esat_out.size(),
-                depth: esat_out.depth(),
-                ref_size: ref_out.size(),
-                ref_depth: ref_out.depth(),
-                millis,
-                ref_millis,
-                equiv: esat_out.equiv(&mig, rounds) && ref_out.equiv(&mig, rounds),
-            }
-        });
-        benchmarks.push(BenchRecord {
-            name: name.clone(),
-            inputs: mig.num_inputs(),
-            outputs: mig.num_outputs(),
-            import,
-            passes,
-            equiv: cur.equiv(&mig, rounds),
-            size_ok,
-            mapped,
-            mapped_nomaj,
-            esat,
-            degraded,
-            total_millis,
-        });
-    }
+    let benchmarks: Vec<BenchRecord> = names
+        .iter()
+        .map(|name| run_mcnc(name, &flow, esat, effort, rounds, &config.opts, &mut ctx))
+        .collect();
+    drop(ctx);
     let large: Vec<LargeRecord> = large_names
         .iter()
-        .map(|name| run_large(name, &large_flow, effort, rounds, &mut ctx))
+        .map(|name| run_large(name, &large_flow, effort, rounds, config.jobs, &config.opts))
         .collect();
     let suite = match (benchmarks.is_empty(), large.is_empty()) {
         (false, false) => "mcnc14+large4",
@@ -1035,6 +957,11 @@ pub fn render_table(report: &BenchReport) -> String {
         "mighty bench · mode={} · flow \"{}\" · effort={} · threads={}",
         report.mode, report.flow, report.effort, report.threads
     );
+    let verdict = if report.all_ok() {
+        "all PASS"
+    } else {
+        "FAILURES PRESENT"
+    };
     // A large-only run has no MCNC rows, mapped areas or esat lines —
     // skip the per-pass column grid entirely instead of printing empty
     // headers and a zero-benchmark totals line.
@@ -1042,23 +969,43 @@ pub fn render_table(report: &BenchReport) -> String {
         render_large_lines(&mut s, report);
         let _ = writeln!(
             s,
-            "total: {} large benchmark(s) · {}",
-            report.large.len(),
-            if report.all_ok() {
-                "all PASS"
-            } else {
-                "FAILURES PRESENT"
-            }
+            "total: {} large benchmark(s) · {verdict}",
+            report.large.len()
         );
-        if report.any_degraded() {
-            let _ = writeln!(
-                s,
-                "degraded: {} pass execution(s) rolled back, timed out or skipped",
-                report.degraded_passes()
-            );
-        }
-        return s;
+    } else {
+        render_grid(&mut s, report);
+        render_large_lines(&mut s, report);
+        let _ = writeln!(
+            s,
+            "total: {} benchmarks · {:.1} ms optimization · mapped {:.1}/{:.1} µm² (cmos22/nomaj) · {verdict}",
+            report.benchmarks.len(),
+            report.total_millis(),
+            report.mapped_area(),
+            report.mapped_nomaj_area(),
+        );
     }
+    if report.benchmarks.iter().any(|b| b.esat.is_some()) {
+        let (wins, ties, losses) = report.esat_score();
+        let _ = writeln!(
+            s,
+            "esat head-to-head: suite size {} vs reference {} · {wins} win(s), \
+             {ties} tie(s), {losses} loss(es) on final size",
+            report.esat_size(),
+            report.esat_ref_size(),
+        );
+    }
+    if report.any_degraded() {
+        let _ = writeln!(
+            s,
+            "degraded: {} pass execution(s) rolled back, timed out or skipped",
+            report.degraded_passes()
+        );
+    }
+    s
+}
+
+/// The MCNC tier's per-pass column grid, one row per benchmark.
+fn render_grid(s: &mut String, report: &BenchReport) {
     // Column headers come from the longest pass list: flows execute the
     // same steps everywhere, but a converge marker can stop earlier on
     // some circuits, so shorter rows are aligned below by matching pass
@@ -1116,276 +1063,5 @@ pub fn render_table(report: &BenchReport) -> String {
                 "FAIL"
             }
         );
-    }
-    render_large_lines(&mut s, report);
-    let _ = writeln!(
-        s,
-        "total: {} benchmarks · {:.1} ms optimization · mapped {:.1}/{:.1} µm² (cmos22/nomaj) · {}",
-        report.benchmarks.len(),
-        report.total_millis(),
-        report.mapped_area(),
-        report.mapped_nomaj_area(),
-        if report.all_ok() {
-            "all PASS"
-        } else {
-            "FAILURES PRESENT"
-        }
-    );
-    if report.benchmarks.iter().any(|b| b.esat.is_some()) {
-        let (wins, ties, losses) = report.esat_score();
-        let _ = writeln!(
-            s,
-            "esat head-to-head: suite size {} vs reference {} · {wins} win(s), \
-             {ties} tie(s), {losses} loss(es) on final size",
-            report.esat_size(),
-            report.esat_ref_size(),
-        );
-    }
-    if report.any_degraded() {
-        let _ = writeln!(
-            s,
-            "degraded: {} pass execution(s) rolled back, timed out or skipped",
-            report.degraded_passes()
-        );
-    }
-    s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_config() -> BenchConfig {
-        // The head-to-head doubles the per-benchmark work, so the tests
-        // that don't assert on it turn it off (one dedicated test keeps
-        // it on).
-        BenchConfig {
-            names: vec!["my_adder".into(), "count".into()],
-            jobs: 1,
-            esat: false,
-            ..BenchConfig::quick()
-        }
-    }
-
-    #[test]
-    fn suite_runs_and_verifies() {
-        let report = run_suite(&tiny_config());
-        assert_eq!(report.benchmarks.len(), 2);
-        assert_eq!(report.flow, DEFAULT_FLOW);
-        assert!(report.all_ok(), "equivalence and size must hold");
-        for b in &report.benchmarks {
-            assert_eq!(b.passes.len(), 4);
-            let names: Vec<&str> = b.passes.iter().map(|p| p.pass.as_str()).collect();
-            assert_eq!(names, PASSES);
-            let size_pass = b.passes[0].after.size;
-            assert!(size_pass <= b.import.size, "Algorithm 1 must not grow");
-            let rewrite_pass = b.passes[1].after.size;
-            assert!(rewrite_pass <= size_pass, "rewriting must not grow");
-        }
-    }
-
-    #[test]
-    fn custom_flows_drive_the_pass_list() {
-        let config = BenchConfig {
-            flow: Some("rewrite; size*2".into()),
-            ..tiny_config()
-        };
-        let report = run_suite(&config);
-        assert_eq!(report.flow, "rewrite; size*2");
-        assert!(report.all_ok());
-        for b in &report.benchmarks {
-            let names: Vec<&str> = b.passes.iter().map(|p| p.pass.as_str()).collect();
-            assert_eq!(names, ["rewrite", "size", "size"]);
-        }
-    }
-
-    #[test]
-    fn json_has_stable_schema_fields() {
-        let report = run_suite(&tiny_config());
-        let json = to_json(&report);
-        for field in [
-            "\"schema\": \"mig-bench/v8\"",
-            "\"suite\": \"mcnc14\"",
-            "\"mode\": \"quick\"",
-            "\"flow\": \"size; rewrite; depth; activity\"",
-            "\"esat_flow\": ",
-            "\"esat_ref_flow\": ",
-            "\"threads\": ",
-            "\"benchmarks\": [",
-            "\"import\":",
-            "\"passes\": [",
-            "\"pass\": \"size\"",
-            "\"pass\": \"rewrite\"",
-            "\"pass\": \"depth\"",
-            "\"pass\": \"activity\"",
-            "\"equiv\": true",
-            "\"size_ok\": true",
-            "\"mapped\": {\"library\": \"cmos22\"",
-            "\"mapped_nomaj\": {\"library\": \"cmos22-nomaj\"",
-            "\"totals\": {",
-            "\"mapped_area\": ",
-            "\"mapped_nomaj_area\": ",
-            "\"all_ok\": true",
-        ] {
-            assert!(json.contains(field), "missing {field} in:\n{json}");
-        }
-        // An MCNC-only run must carry no machine-volatile large block.
-        assert!(!json.contains("\"large\""), "unexpected large block");
-        // Must be balanced-brace JSON (cheap structural sanity check).
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "unbalanced JSON");
-    }
-
-    #[test]
-    fn large_tier_records_scaling_evidence() {
-        // `suite: large` routes explicit names through the large-tier
-        // runner, so a small circuit exercises the whole path (flow,
-        // ledger, level counters, memory footprint, JSON block) at unit
-        // -test cost; the real 100k–1M circuits run in `mighty bench`.
-        let config = BenchConfig {
-            names: vec!["my_adder".into()],
-            suite: "large".into(),
-            jobs: 1,
-            esat: false,
-            ..BenchConfig::quick()
-        };
-        let report = run_suite(&config);
-        assert!(report.benchmarks.is_empty());
-        assert_eq!(report.suite, "large4");
-        assert_eq!(report.large_flow, LARGE_FLOW);
-        assert_eq!(report.large.len(), 1);
-        assert!(report.all_ok());
-        let l = &report.large[0];
-        assert!(l.equiv && l.size_ok, "large record must verify");
-        assert!(l.mem.arena_bytes > 0, "arena footprint sampled");
-        assert!(l.mem.strash_slots > 0, "strash footprint sampled");
-        let names: Vec<&str> = l.passes.iter().map(|p| p.pass.as_str()).collect();
-        assert_eq!(names, ["size", "size", "rewrite", "depth_rewrite", "depth"]);
-        let json = to_json(&report);
-        for field in [
-            "\"suite\": \"large4\"",
-            "\"large_flow\": \"size*2; rewrite; depth_rewrite; depth\"",
-            "\"large\": [",
-            "\"mem\": {\"arena_bytes\": ",
-            "\"peak_rss_bytes\": ",
-            "\"levels\": {\"incremental_repairs\": ",
-            "\"nodes_per_repair\": ",
-        ] {
-            assert!(json.contains(field), "missing {field} in:\n{json}");
-        }
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "unbalanced JSON");
-        assert!(render_table(&report).contains("large my_adder"));
-    }
-
-    #[test]
-    fn all_suite_partitions_explicit_names() {
-        let config = BenchConfig {
-            names: vec!["my_adder".into(), "count".into()],
-            suite: "all".into(),
-            jobs: 1,
-            esat: false,
-            ..BenchConfig::quick()
-        };
-        // Neither name is in the large tier: both route to MCNC.
-        let report = run_suite(&config);
-        assert_eq!(report.benchmarks.len(), 2);
-        assert!(report.large.is_empty());
-        assert_eq!(report.suite, "mcnc14");
-    }
-
-    #[test]
-    fn esat_head_to_head_verifies_and_never_loses() {
-        let config = BenchConfig {
-            names: vec!["my_adder".into()],
-            jobs: 1,
-            esat: true,
-            ..BenchConfig::quick()
-        };
-        let report = run_suite(&config);
-        let e = report.benchmarks[0]
-            .esat
-            .as_ref()
-            .expect("head-to-head ran");
-        assert!(e.equiv, "both finals must verify against the import");
-        assert!(
-            e.size <= e.ref_size,
-            "the esat flow extends the reference backbone with monotone \
-             passes, so it can never end larger ({} > {})",
-            e.size,
-            e.ref_size
-        );
-        let json = to_json(&report);
-        for field in [
-            "\"esat\": {\"size\": ",
-            "\"ref_size\": ",
-            "\"ref_millis\": ",
-            "\"esat_size\": ",
-            "\"esat_ref_size\": ",
-        ] {
-            assert!(json.contains(field), "missing {field} in:\n{json}");
-        }
-        let (wins, ties, losses) = report.esat_score();
-        assert_eq!(losses, 0);
-        assert_eq!(wins + ties, 1);
-        assert!(render_table(&report).contains("esat head-to-head"));
-    }
-
-    #[test]
-    fn maj_library_maps_smaller_than_the_control() {
-        // The paper's headline mapping claim in miniature: first-class
-        // majority cells beat the majority-free control library.
-        let report = run_suite(&tiny_config());
-        for b in &report.benchmarks {
-            assert!(b.mapped.equiv && b.mapped_nomaj.equiv, "{}", b.name);
-        }
-        assert!(report.mapped_area() < report.mapped_nomaj_area());
-    }
-
-    #[test]
-    fn quick_mode_skips_the_giants() {
-        let names: Vec<String> = mig_benchgen::MCNC_NAMES
-            .iter()
-            .filter(|n| !QUICK_SKIP.contains(n))
-            .map(|n| n.to_string())
-            .collect();
-        // The quick-mode name resolution run_suite performs, checked
-        // without paying for a full run.
-        assert_eq!(names.len(), 11);
-        assert!(BenchConfig::quick().names.is_empty());
-        for skip in QUICK_SKIP {
-            assert!(!names.contains(&skip.to_string()));
-        }
-    }
-
-    #[test]
-    fn thread_count_never_changes_results() {
-        let mut c1 = tiny_config();
-        c1.jobs = 1;
-        let mut c4 = tiny_config();
-        c4.jobs = 4;
-        let r1 = run_suite(&c1);
-        let r4 = run_suite(&c4);
-        assert_eq!(r1.threads, 1);
-        assert_eq!(r4.threads, 4);
-        for (a, b) in r1.benchmarks.iter().zip(&r4.benchmarks) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.equiv, b.equiv);
-            for (pa, pb) in a.passes.iter().zip(&b.passes) {
-                assert_eq!(pa.after.size, pb.after.size, "{} {}", a.name, pa.pass);
-                assert_eq!(pa.after.depth, pb.after.depth, "{} {}", a.name, pa.pass);
-            }
-        }
-    }
-
-    #[test]
-    fn table_mentions_every_benchmark() {
-        let report = run_suite(&tiny_config());
-        let table = render_table(&report);
-        assert!(table.contains("my_adder"));
-        assert!(table.contains("count"));
-        assert!(table.contains("PASS"));
     }
 }

@@ -23,8 +23,8 @@ use std::process::ExitCode;
 
 use mig_core::Flow;
 use mig_mighty::{
-    emit_verilog, load_input, render_map_report, render_report, run_flow_with, run_map_with,
-    OptTarget, RunOptions,
+    bench, emit_verilog, load_input, render_map_report, render_report, run_flow_with, run_map_with,
+    target_flow, RunOptions,
 };
 
 /// Exit code: success (equivalence verified, no degraded stages).
@@ -178,9 +178,10 @@ EXIT CODES:
 
 INPUT is a benchmark name (see `mighty list`) or a Verilog file path.";
 
+#[derive(Default)]
 struct Args {
     positional: Vec<String>,
-    target: Option<OptTarget>,
+    target: Option<String>,
     flow: Option<String>,
     effort: Option<usize>,
     rounds: Option<usize>,
@@ -215,32 +216,16 @@ impl Args {
     }
 }
 
+/// Parses the value of a numeric flag.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        positional: Vec::new(),
-        target: None,
-        flow: None,
-        effort: None,
-        rounds: None,
-        jobs: None,
-        output: None,
-        lib: None,
-        suite: None,
-        quick: false,
-        rewrite: false,
-        list: false,
-        timeout_ms: None,
-        pass_timeout_ms: None,
-        max_nodes: None,
-        selfcheck: false,
-        listen: None,
-        workers: None,
-        cache: None,
-        drain_ms: None,
-        bench_load: false,
-        clients: None,
-        help: false,
-    };
+    let mut args = Args::default();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         let mut value = |flag: &str| -> Result<String, String> {
@@ -249,66 +234,34 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match a.as_str() {
-            "--target" | "-t" => args.target = Some(OptTarget::parse(&value(a)?)?),
-            "--flow" | "-f" => args.flow = Some(value(a)?),
-            "--effort" | "-e" => {
-                args.effort = Some(value(a)?.parse().map_err(|e| format!("--effort: {e}"))?);
+            "--target" | "-t" => {
+                let target = value(a)?;
+                target_flow(&target, false)?;
+                args.target = Some(target);
             }
+            "--flow" | "-f" => args.flow = Some(value(a)?),
+            "--effort" | "-e" => args.effort = Some(number("--effort", value(a)?)?),
             "--quick" | "-q" => args.quick = true,
             "--rewrite" | "-w" => args.rewrite = true,
-            "--jobs" | "-j" => {
-                args.jobs = Some(value(a)?.parse().map_err(|e| format!("--jobs: {e}"))?);
-            }
-            "--rounds" | "-r" => {
-                args.rounds = Some(
-                    value(a)?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--rounds: {e}"))?
-                        .max(1),
-                );
-            }
+            "--jobs" | "-j" => args.jobs = Some(number("--jobs", value(a)?)?),
+            "--rounds" | "-r" => args.rounds = Some(number::<usize>("--rounds", value(a)?)?.max(1)),
             "--output" | "-o" => args.output = Some(value(a)?),
             "--suite" | "-s" => args.suite = Some(value(a)?),
             "--list" => args.list = true,
             "--lib" | "-l" => args.lib = Some(value(a)?),
-            "--timeout-ms" => {
-                args.timeout_ms = Some(
-                    value(a)?
-                        .parse()
-                        .map_err(|e| format!("--timeout-ms: {e}"))?,
-                );
-            }
+            "--timeout-ms" => args.timeout_ms = Some(number("--timeout-ms", value(a)?)?),
             "--pass-timeout-ms" => {
-                args.pass_timeout_ms = Some(
-                    value(a)?
-                        .parse()
-                        .map_err(|e| format!("--pass-timeout-ms: {e}"))?,
-                );
+                args.pass_timeout_ms = Some(number("--pass-timeout-ms", value(a)?)?)
             }
-            "--max-nodes" => {
-                args.max_nodes = Some(value(a)?.parse().map_err(|e| format!("--max-nodes: {e}"))?);
-            }
+            "--max-nodes" => args.max_nodes = Some(number("--max-nodes", value(a)?)?),
             "--selfcheck" => args.selfcheck = true,
             "--listen" => args.listen = Some(value(a)?),
-            "--workers" => {
-                args.workers = Some(value(a)?.parse().map_err(|e| format!("--workers: {e}"))?);
-            }
-            "--cache" => {
-                args.cache = Some(value(a)?.parse().map_err(|e| format!("--cache: {e}"))?);
-            }
-            "--drain-ms" => {
-                args.drain_ms = Some(value(a)?.parse().map_err(|e| format!("--drain-ms: {e}"))?);
-            }
+            "--workers" => args.workers = Some(number("--workers", value(a)?)?),
+            "--cache" => args.cache = Some(number("--cache", value(a)?)?),
+            "--drain-ms" => args.drain_ms = Some(number("--drain-ms", value(a)?)?),
             "--bench" => args.bench_load = true,
             "--help" | "-h" => args.help = true,
-            "--clients" => {
-                args.clients = Some(
-                    value(a)?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--clients: {e}"))?
-                        .max(1),
-                );
-            }
+            "--clients" => args.clients = Some(number::<usize>("--clients", value(a)?)?.max(1)),
             flag if flag.starts_with('-') && flag != "-" => {
                 return Err(format!("unknown flag `{flag}`"));
             }
@@ -335,8 +288,8 @@ fn cmd_opt(args: &Args) -> Result<u8, Failure> {
             Flow::parse(script).map_err(Failure::usage)?
         }
         None => {
-            let script =
-                mig_mighty::flow_for_target(args.target.unwrap_or(OptTarget::All), args.rewrite);
+            let target = args.target.as_deref().unwrap_or("all");
+            let script = target_flow(target, args.rewrite).map_err(Failure::usage)?;
             Flow::parse(script).expect("canned flows parse")
         }
     };
@@ -411,15 +364,15 @@ fn cmd_map(args: &Args) -> Result<u8, Failure> {
 
 fn cmd_bench(args: &Args) -> Result<u8, Failure> {
     let mut config = if args.quick {
-        mig_bench::BenchConfig::quick()
+        bench::BenchConfig::quick()
     } else {
-        mig_bench::BenchConfig::full()
+        bench::BenchConfig::full()
     };
     if let Some(suite) = &args.suite {
-        if !mig_bench::SUITES.contains(&suite.as_str()) {
+        if !bench::SUITES.contains(&suite.as_str()) {
             return Err(Failure::usage(format!(
                 "unknown suite `{suite}` (known suites: {})",
-                mig_bench::SUITES.join(", ")
+                bench::SUITES.join(", ")
             )));
         }
         config.suite = suite.clone();
@@ -459,14 +412,11 @@ fn cmd_bench(args: &Args) -> Result<u8, Failure> {
     if let Some(jobs) = args.jobs {
         config.jobs = jobs;
     }
-    config.timeout_ms = args.timeout_ms;
-    config.pass_timeout_ms = args.pass_timeout_ms;
-    config.max_nodes = args.max_nodes;
-    config.selfcheck = args.selfcheck;
-    let report = mig_bench::run_suite(&config);
-    print!("{}", mig_bench::render_table(&report));
+    config.opts = args.run_options();
+    let report = bench::run_suite(&config);
+    print!("{}", bench::render_table(&report));
     let path = args.output.as_deref().unwrap_or("BENCH_opt.json");
-    let json = mig_bench::to_json(&report);
+    let json = bench::to_json(&report);
     if path == "-" {
         print!("{json}");
     } else {
@@ -590,32 +540,20 @@ fn cmd_serve_bench(args: &Args) -> Result<u8, Failure> {
     }
     let sweeps = serve::run_load(&cfg).map_err(Failure::generic)?;
     print!("{}", serve::render_load_table(&sweeps));
-    let report = mig_bench::ServeReport {
-        flow: cfg.flow.clone(),
+    let ok = sweeps.iter().all(|r| r.verified && r.bit_identical);
+    let report = bench::ServeReport {
+        flow: cfg.flow,
         effort: cfg.effort,
-        sweeps: sweeps
-            .iter()
-            .map(|r| mig_bench::ServeSweep {
-                workers: r.workers,
-                clients: r.clients,
-                jobs: r.jobs,
-                jobs_per_sec: r.jobs_per_sec,
-                p50_ms: r.p50_ms,
-                p95_ms: r.p95_ms,
-                p99_ms: r.p99_ms,
-                verified: r.verified,
-                bit_identical: r.bit_identical,
-            })
-            .collect(),
+        sweeps,
     };
     let path = args.output.as_deref().unwrap_or("BENCH_opt.json");
     if path == "-" {
-        print!("{}", mig_bench::serve_block_json(&report));
+        print!("{}", bench::serve_block_json(&report));
     } else {
         splice_serve_block(path, &report)?;
         println!("updated {path}");
     }
-    if sweeps.iter().all(|r| r.verified && r.bit_identical) {
+    if ok {
         Ok(EXIT_OK)
     } else {
         Ok(EXIT_EQUIV)
@@ -627,7 +565,7 @@ fn cmd_serve_bench(args: &Args) -> Result<u8, Failure> {
 /// `"totals"`, and upgrades a pre-v8 schema line. Textual surgery on
 /// purpose — every byte of the committed MCNC trajectory outside the
 /// block stays identical.
-fn splice_serve_block(path: &str, report: &mig_bench::ServeReport) -> Result<(), Failure> {
+fn splice_serve_block(path: &str, report: &bench::ServeReport) -> Result<(), Failure> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         Failure::generic(format!(
             "reading `{path}`: {e} (run `mighty bench` first to create it)"
@@ -651,7 +589,7 @@ fn splice_serve_block(path: &str, report: &mig_bench::ServeReport) -> Result<(),
         .ok_or_else(|| {
             Failure::generic(format!("`{path}`: no totals block — not a mig-bench file"))
         })?;
-    let block = mig_bench::serve_block_json(report);
+    let block = bench::serve_block_json(report);
     let mut out = String::new();
     for (i, line) in lines.iter().enumerate() {
         if i == totals {

@@ -7,7 +7,7 @@
 //! null) with a nesting-depth cap, which is all a one-request-per-line
 //! protocol needs; serialization goes through [`escape_str`] plus the
 //! hand-rolled writers in the serve module, matching the style
-//! `mig_bench::to_json` already uses for the trajectory file.
+//! `bench::to_json` already uses for the trajectory file.
 
 use std::collections::BTreeMap;
 

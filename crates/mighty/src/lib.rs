@@ -9,112 +9,71 @@
 //! [`mig_sim`] equivalence checking, and reports per-pass size, depth,
 //! switching-activity and wall-time numbers.
 //!
+//! Every job runs one sequence — import → cleanup → flow → ledger →
+//! verify — whether it comes from `mighty opt` ([`run_flow_with`]),
+//! `mighty map` ([`run_map_with`], which maps onto a [`CellLibrary`]
+//! after the flow, with the library installed as the flow's
+//! [`mig_core::TechModel`] so `map_area`/`map_delay` steps minimize
+//! measured mapped cost), a `mighty serve` worker ([`run_flow_session`])
+//! or one circuit of the timed `mighty bench` sweep ([`mod@bench`], which
+//! writes the `mig-bench/v8` perf-trajectory JSON `BENCH_opt.json`).
 //! The legacy cost targets (`size`, `depth`, `activity`, `all` — the
-//! paper's Algorithm 1, Algorithm 2, §IV-C and Table I) are compiled to
-//! canned flow scripts by [`flow_for_target`]; `mighty opt --flow`
-//! exposes arbitrary scripts (e.g. `"size*2; rewrite; depth_rewrite;
-//! activity"`). The binary is `mighty`; the library half exposes the
-//! same pipeline as plain functions ([`load_input`], [`run_opt`],
-//! [`run_flow`], [`render_report`]) so integration tests drive the exact
-//! code path the CLI does. The timed suite sweep behind `mighty bench`
-//! lives in [`mig_bench`], which writes the `mig-bench/v8`
-//! perf-trajectory JSON (`BENCH_opt.json`) with every optimized result
-//! technology-mapped onto both stock `mig_techmap` libraries. The
-//! `mighty map` half ([`run_map`], [`render_map_report`]) maps a
-//! circuit onto a [`CellLibrary`] — optionally after a flow that
-//! carries the library as its [`mig_core::TechModel`], so `map_area` /
-//! `map_delay` steps minimize measured mapped cost.
+//! paper's Algorithm 1, Algorithm 2, §IV-C and Table I) and the
+//! `--rewrite` switch are aliases of flow scripts, resolved through one
+//! table, [`TARGET_FLOWS`]. Integration tests drive these functions, the
+//! exact code path the CLI does.
 //!
 //! ```
-//! use mig_mighty::{load_input, run_opt, OptTarget};
+//! use mig_core::Flow;
+//! use mig_mighty::{load_input, run_flow_with, target_flow, RunOptions};
 //!
 //! let net = load_input("my_adder").unwrap();
-//! let outcome = run_opt(&net, OptTarget::Depth, 2, 16, false, 1);
+//! let flow = Flow::parse(target_flow("depth", false).unwrap()).unwrap();
+//! let outcome = run_flow_with(&net, &flow, 2, 16, 1, &RunOptions::default());
 //! assert!(outcome.mig_equiv && outcome.net_equiv);
 //! assert!(outcome.after.depth <= outcome.before.depth);
 //! assert_eq!(outcome.flow, "depth");
 //! ```
 
+pub mod bench;
 pub mod json;
 pub mod serve;
 
-use std::fmt;
+#[cfg(test)]
+mod tests;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use mig_core::{Budget, Flow, MappedMetrics, Mig, OptContext};
+use mig_core::{
+    Budget, Flow, MappedMetrics, Mig, OptContext, PassMetrics, PassOutcome, PassReport,
+};
 use mig_netlist::{parse_verilog, write_verilog, Network};
 use mig_techmap::{map_mig, CellLibrary, MapConfig, MappedDesign, TechMapper, KNOWN_LIBRARIES};
 
-/// Which cost function the legacy `opt` pipeline minimizes. Each target
-/// compiles to a canned flow script (see [`flow_for_target`]); the
-/// `--flow` switch bypasses targets entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptTarget {
-    /// Algorithm 1: node count.
-    Size,
-    /// Algorithm 2: logic depth.
-    Depth,
-    /// §IV-C: switching activity under uniform input probabilities.
-    Activity,
-    /// The paper's Table I flow: size, then depth, then activity.
-    All,
+/// The legacy `--target`/`--rewrite` aliases, one row per combination:
+/// `(target, rewrite, flow script)`. The Boolean rewriting pass slots
+/// in after the size stage, or first for a depth/activity-only flow.
+pub const TARGET_FLOWS: [(&str, bool, &str); 8] = [
+    ("size", false, "size"),
+    ("size", true, "size; rewrite"),
+    ("depth", false, "depth"),
+    ("depth", true, "rewrite; depth"),
+    ("activity", false, "activity"),
+    ("activity", true, "rewrite; activity"),
+    ("all", false, "size; depth; activity"),
+    ("all", true, "size; rewrite; depth; activity"),
+];
+
+/// Resolves a `--target` name and the `--rewrite` switch to their flow
+/// script through [`TARGET_FLOWS`].
+pub fn target_flow(target: &str, rewrite: bool) -> Result<&'static str, String> {
+    TARGET_FLOWS
+        .iter()
+        .find(|&&(t, r, _)| t == target && r == rewrite)
+        .map(|&(_, _, script)| script)
+        .ok_or_else(|| format!("unknown target `{target}` (expected size, depth, activity or all)"))
 }
-
-impl OptTarget {
-    /// Parses a target name as given on the command line.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "size" => Ok(Self::Size),
-            "depth" => Ok(Self::Depth),
-            "activity" => Ok(Self::Activity),
-            "all" => Ok(Self::All),
-            other => Err(format!(
-                "unknown target `{other}` (expected size, depth, activity or all)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for OptTarget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Self::Size => "size",
-            Self::Depth => "depth",
-            Self::Activity => "activity",
-            Self::All => "all",
-        })
-    }
-}
-
-/// Compiles a legacy [`OptTarget`] (plus the `--rewrite` switch) to the
-/// canned flow script the old if-chain pipeline ran: the Boolean
-/// rewriting pass slots in after the size stage, or first for a
-/// depth/activity-only flow. The default target/rewrite combinations
-/// produce bit-identical results to the pre-flow `run_opt`.
-pub fn flow_for_target(target: OptTarget, rewrite: bool) -> &'static str {
-    match (target, rewrite) {
-        (OptTarget::Size, false) => "size",
-        (OptTarget::Size, true) => "size; rewrite",
-        (OptTarget::Depth, false) => "depth",
-        (OptTarget::Depth, true) => "rewrite; depth",
-        (OptTarget::Activity, false) => "activity",
-        (OptTarget::Activity, true) => "rewrite; activity",
-        (OptTarget::All, false) => "size; depth; activity",
-        (OptTarget::All, true) => "size; rewrite; depth; activity",
-    }
-}
-
-/// The three paper metrics of one MIG, captured at a pipeline stage
-/// (the pass manager's ledger metrics, re-exported under this crate's
-/// historic name).
-pub use mig_core::PassMetrics as Snapshot;
-
-/// One executed pass in an [`OptOutcome`] — exactly the pass manager's
-/// ledger entry (name, wall time, metrics on both sides). The
-/// import-normalizing `"cleanup"` stage appears only when it changed
-/// the graph.
-pub use mig_core::PassReport as StageReport;
 
 /// Resilience knobs of one driver run, surfaced by the CLI as
 /// `--timeout-ms`, `--pass-timeout-ms`, `--max-nodes` and `--selfcheck`.
@@ -146,9 +105,11 @@ impl RunOptions {
         }
     }
 
-    /// Installs these options on a pass-manager context.
+    /// Installs these options on a pass-manager context, replacing any
+    /// budget or spot check a previous job left there.
     fn apply(&self, ctx: &mut OptContext, rounds: usize) {
         ctx.set_budget(self.budget());
+        ctx.clear_spot_check();
         if self.selfcheck {
             ctx.set_spot_check(rounds);
         }
@@ -162,15 +123,17 @@ impl RunOptions {
 pub struct OptOutcome {
     /// Circuit name as recorded in the netlist.
     pub name: String,
-    /// The canonical flow script that ran (compiled from a legacy
+    /// The canonical flow script that ran (resolved from a legacy
     /// target, or the `--flow` script as parsed).
     pub flow: String,
     /// Metrics of the imported (unoptimized) MIG.
-    pub before: Snapshot,
+    pub before: PassMetrics,
     /// Metrics after optimization.
-    pub after: Snapshot,
-    /// One entry per executed pass, in run order, with wall times.
-    pub stages: Vec<StageReport>,
+    pub after: PassMetrics,
+    /// One entry per executed pass, in run order, with wall times. The
+    /// import-normalizing `"cleanup"` stage appears only when it changed
+    /// the graph.
+    pub stages: Vec<PassReport>,
     /// MIG-level equivalence of the optimized graph against the import.
     pub mig_equiv: bool,
     /// Network-level equivalence of the exported result against the input
@@ -208,50 +171,118 @@ pub fn load_input(spec: &str) -> Result<Network, String> {
     parse_verilog(&text).map_err(|e| format!("{spec}: {e}"))
 }
 
-/// Runs the legacy optimize-and-verify pipeline on one network: the
-/// target (plus `rewrite`) compiles to its canned flow via
-/// [`flow_for_target`] and runs through [`run_flow`] — a thin wrapper,
-/// kept because the canned flows are the paper's reference pipelines.
+/// The optimization half every job shares (see [`optimize`]).
+struct Optimized {
+    /// The imported MIG, the reference of the MIG-level check.
+    import: Mig,
+    /// Metrics of `import`.
+    before: PassMetrics,
+    /// The `cleanup` stage, present when it changed the graph's metrics.
+    cleanup: Option<PassReport>,
+    /// The flow's ledger, in run order.
+    passes: Vec<PassReport>,
+    /// The flow's result.
+    result: Mig,
+    /// When the cleanup started: the origin of a job's wall time.
+    started: Instant,
+}
+
+impl Optimized {
+    /// MIG-level equivalence of the result against the import.
+    fn mig_equiv(&self, rounds: usize) -> bool {
+        self.result.equiv(&self.import, rounds)
+    }
+
+    /// Moves out the cleanup stage (when it ran) followed by the flow's
+    /// ledger.
+    fn take_stages(&mut self) -> Vec<PassReport> {
+        let passes = std::mem::take(&mut self.passes);
+        self.cleanup.take().into_iter().chain(passes).collect()
+    }
+}
+
+/// Import → cleanup → `flow` (none: cleanup only) → ledger, on `ctx`
+/// under `opts`: the one implementation behind `opt`, `map`, `serve`
+/// and `bench`. `observe` sees every stage as it lands, the cleanup
+/// stage included.
+fn optimize(
+    net: &Network,
+    flow: Option<&Flow>,
+    effort: usize,
+    rounds: usize,
+    opts: &RunOptions,
+    ctx: &mut OptContext,
+    mut observe: impl FnMut(&PassReport),
+) -> Optimized {
+    let import = Mig::from_network(net);
+    let before = PassMetrics::of(&import);
+    ctx.take_ledger();
+    opts.apply(ctx, rounds);
+    let started = Instant::now();
+    let cleaned = import.cleanup();
+    let millis = started.elapsed().as_secs_f64() * 1e3;
+    let after = PassMetrics::of(&cleaned);
+    let cleanup = (after != before).then(|| PassReport {
+        pass: "cleanup".to_string(),
+        millis,
+        before,
+        after,
+        outcome: PassOutcome::Completed,
+        note: None,
+        unchanged: false,
+    });
+    if let Some(report) = &cleanup {
+        observe(report);
+    }
+    let result = match flow {
+        Some(f) => f.run_observed(cleaned, effort, ctx, &mut observe),
+        None => cleaned,
+    };
+    Optimized {
+        import,
+        before,
+        cleanup,
+        passes: ctx.take_ledger(),
+        result,
+        started,
+    }
+}
+
+/// Technology-maps `mig` onto `lib` behind a panic boundary and checks
+/// the cell netlist against `net`: the mapping step of `mighty map` and
+/// of both mapped `mighty bench` records. A crashing mapper yields an
+/// `Err` describing the fault, never a process abort.
+fn map_verified(
+    mig: &Mig,
+    net: &Network,
+    lib: &CellLibrary,
+    rounds: usize,
+) -> Result<(MappedDesign, bool), String> {
+    let design = catch_unwind(AssertUnwindSafe(|| {
+        map_mig(mig, lib, &MapConfig::default())
+    }))
+    .map_err(|_| format!("technology mapping onto `{}` panicked", lib.name))?;
+    let equiv = mig_sim::equivalent(net, &design.to_network(), rounds);
+    Ok((design, equiv))
+}
+
+/// Runs an optimization flow on one network and verifies the result:
+/// import → cleanup → every pass of `flow` through one fresh
+/// [`OptContext`] → MIG- and netlist-level equivalence checks.
 ///
 /// `effort` scales every pass's iteration budget; `rounds` is the number
 /// of 64-pattern blocks used by the random half of the equivalence
-/// checks (small input counts are always checked exhaustively). Both are
-/// clamped to at least 1 so a zero never silently skips verification.
-/// `jobs` is the rewriting engine's evaluate-phase worker count (0 =
-/// available parallelism); it affects wall time only, never the result.
-pub fn run_opt(
-    net: &Network,
-    target: OptTarget,
-    effort: usize,
-    rounds: usize,
-    rewrite: bool,
-    jobs: usize,
-) -> OptOutcome {
-    let flow = Flow::parse(flow_for_target(target, rewrite)).expect("canned flows parse");
-    run_flow(net, &flow, effort, rounds, jobs)
-}
-
-/// Runs an arbitrary optimization flow on one network and verifies the
-/// result: import → cleanup → every pass of `flow` through one shared
-/// [`OptContext`] → MIG- and netlist-level equivalence checks. The
-/// per-pass wall times and metrics land in [`OptOutcome::stages`].
-/// Equivalent to [`run_flow_with`] under default [`RunOptions`].
-pub fn run_flow(
-    net: &Network,
-    flow: &Flow,
-    effort: usize,
-    rounds: usize,
-    jobs: usize,
-) -> OptOutcome {
-    run_flow_with(net, flow, effort, rounds, jobs, &RunOptions::default())
-}
-
-/// [`run_flow`] with resilience options: the [`RunOptions`] budget and
-/// optional post-pass spot check are installed on the context, so a
-/// panicking, overrunning, or wrong-result pass degrades the run
-/// ([`OptOutcome::degraded`], per-stage [`StageReport::outcome`])
-/// instead of killing it — the returned network is always valid and
-/// still goes through both final equivalence checks.
+/// checks (small input counts are always checked exhaustively), clamped
+/// to at least 1 so a zero never silently skips verification. `jobs` is
+/// the rewriting engine's evaluate-phase worker count (0 = available
+/// parallelism); it affects wall time only, never the result.
+///
+/// The [`RunOptions`] budget and optional post-pass spot check are
+/// installed on the context, so a panicking, overrunning, or
+/// wrong-result pass degrades the run ([`OptOutcome::degraded`],
+/// per-stage [`PassReport::outcome`]) instead of killing it — the
+/// returned network is always valid and still goes through both final
+/// equivalence checks.
 pub fn run_flow_with(
     net: &Network,
     flow: &Flow,
@@ -284,54 +315,24 @@ pub fn run_flow_session(
     rounds: usize,
     opts: &RunOptions,
     ctx: &mut OptContext,
-    mut observe: impl FnMut(&StageReport),
+    observe: impl FnMut(&PassReport),
 ) -> OptOutcome {
     let rounds = rounds.max(1);
-    let mig = Mig::from_network(net);
-    let before = Snapshot::of(&mig);
-    ctx.clear_spot_check();
-    ctx.take_ledger();
-    opts.apply(ctx, rounds);
-
-    let start = Instant::now();
-    let mut stages: Vec<StageReport> = Vec::new();
-    let cleanup_start = Instant::now();
-    let cleaned = mig.cleanup();
-    let cleanup_millis = cleanup_start.elapsed().as_secs_f64() * 1e3;
-    if Snapshot::of(&cleaned) != before {
-        let report = StageReport {
-            pass: "cleanup".to_string(),
-            millis: cleanup_millis,
-            before,
-            after: Snapshot::of(&cleaned),
-            outcome: mig_core::PassOutcome::Completed,
-            note: None,
-            unchanged: false,
-        };
-        observe(&report);
-        stages.push(report);
-    }
-    let cur = flow.run_observed(cleaned, effort, ctx, &mut observe);
-    let millis = start.elapsed().as_millis();
-    stages.extend(ctx.take_ledger());
-
-    let after = Snapshot::of(&cur);
-    let mig_equiv = cur.equiv(&mig, rounds);
-    let optimized = cur.to_network();
-    let net_equiv = mig_sim::equivalent(net, &optimized, rounds);
-    let degraded = stages.iter().any(|s| s.outcome.degraded());
-
+    let mut job = optimize(net, Some(flow), effort, rounds, opts, ctx, observe);
+    let millis = job.started.elapsed().as_millis();
+    let stages = job.take_stages();
+    let optimized = job.result.to_network();
     OptOutcome {
         name: net.name().to_string(),
         flow: flow.to_string(),
-        before,
-        after,
+        before: job.before,
+        after: PassMetrics::of(&job.result),
+        mig_equiv: job.mig_equiv(rounds),
+        net_equiv: mig_sim::equivalent(net, &optimized, rounds),
+        degraded: stages.iter().any(|s| s.outcome.degraded()),
         stages,
-        mig_equiv,
-        net_equiv,
         optimized,
         millis,
-        degraded,
     }
 }
 
@@ -347,11 +348,11 @@ pub struct MapOutcome {
     /// The flow script that ran before mapping, if any.
     pub flow: Option<String>,
     /// Metrics of the imported (unoptimized) MIG.
-    pub before: Snapshot,
+    pub before: PassMetrics,
     /// Metrics of the MIG handed to the mapper.
-    pub after: Snapshot,
+    pub after: PassMetrics,
     /// One entry per executed pass, in run order, with wall times.
-    pub stages: Vec<StageReport>,
+    pub stages: Vec<PassReport>,
     /// Physical metrics of the mapped design.
     pub mapped: MappedMetrics,
     /// The mapped standard-cell netlist.
@@ -361,7 +362,8 @@ pub struct MapOutcome {
     /// Equivalence of the mapped netlist against the input network,
     /// checked through `mig_sim` on the cell-level export.
     pub map_equiv: bool,
-    /// Wall-clock optimize+map time in milliseconds (excludes I/O).
+    /// Wall-clock optimize+map time in milliseconds, the mapped-netlist
+    /// check included (excludes I/O).
     pub millis: u128,
     /// Whether any stage ended degraded (skipped, timed out, or rolled
     /// back).
@@ -380,31 +382,12 @@ pub fn resolve_library(name: &str) -> Result<CellLibrary, String> {
 }
 
 /// Runs `mighty map`: import → cleanup → optional optimization flow
-/// (with the target library installed as the flow's [`mig_core::TechModel`],
-/// so `map_area`/`map_delay` steps measure real mapped cost) → cut-based
-/// technology mapping → equivalence checks at both levels.
-pub fn run_map(
-    net: &Network,
-    library: &str,
-    flow: Option<&Flow>,
-    effort: usize,
-    rounds: usize,
-    jobs: usize,
-) -> Result<MapOutcome, String> {
-    run_map_with(
-        net,
-        library,
-        flow,
-        effort,
-        rounds,
-        jobs,
-        &RunOptions::default(),
-    )
-}
-
-/// [`run_map`] with resilience options (see [`run_flow_with`]). The
-/// final mapping itself runs behind a panic boundary: a crashing mapper
-/// yields an `Err` describing the fault, never a process abort.
+/// (with the target library installed as the flow's
+/// [`mig_core::TechModel`], so `map_area`/`map_delay` steps measure real
+/// mapped cost) → cut-based technology mapping → equivalence checks at
+/// both levels. Options and arguments as in [`run_flow_with`]; the final
+/// mapping runs behind a panic boundary, so a crashing mapper yields an
+/// `Err` describing the fault, never a process abort.
 pub fn run_map_with(
     net: &Network,
     library: &str,
@@ -416,62 +399,30 @@ pub fn run_map_with(
 ) -> Result<MapOutcome, String> {
     let lib = resolve_library(library)?;
     let rounds = rounds.max(1);
-    let mig = Mig::from_network(net);
-    let before = Snapshot::of(&mig);
     let mut ctx = OptContext::with_jobs(jobs);
     ctx.set_tech(Box::new(TechMapper::new(lib.clone())));
-    opts.apply(&mut ctx, rounds);
-
-    let start = Instant::now();
-    let mut stages: Vec<StageReport> = Vec::new();
-    let cleanup_start = Instant::now();
-    let cleaned = mig.cleanup();
-    let cleanup_millis = cleanup_start.elapsed().as_secs_f64() * 1e3;
-    if Snapshot::of(&cleaned) != before {
-        stages.push(StageReport {
-            pass: "cleanup".to_string(),
-            millis: cleanup_millis,
-            before,
-            after: Snapshot::of(&cleaned),
-            outcome: mig_core::PassOutcome::Completed,
-            note: None,
-            unchanged: false,
-        });
-    }
-    let cur = match flow {
-        Some(f) => f.run(cleaned, effort, &mut ctx),
-        None => cleaned,
-    };
-    stages.extend(ctx.take_ledger());
-    let design = catch_unwind(AssertUnwindSafe(|| {
-        map_mig(&cur, &lib, &MapConfig::default())
-    }))
-    .map_err(|_| format!("technology mapping onto `{}` panicked", lib.name))?;
-    let millis = start.elapsed().as_millis();
-
-    let mapped = MappedMetrics {
-        area: design.area(),
-        delay: design.delay(),
-        power: design.power(),
-        cells: design.num_cells(),
-    };
-    let after = Snapshot::of(&cur);
-    let mig_equiv = cur.equiv(&mig, rounds);
-    let map_equiv = mig_sim::equivalent(net, &design.to_network(), rounds);
-    let degraded = stages.iter().any(|s| s.outcome.degraded());
+    let mut job = optimize(net, flow, effort, rounds, opts, &mut ctx, |_| {});
+    let (design, map_equiv) = map_verified(&job.result, net, &lib, rounds)?;
+    let millis = job.started.elapsed().as_millis();
+    let stages = job.take_stages();
     Ok(MapOutcome {
         name: net.name().to_string(),
         library: lib.name.to_string(),
         flow: flow.map(Flow::to_string),
-        before,
-        after,
-        stages,
-        mapped,
+        before: job.before,
+        after: PassMetrics::of(&job.result),
+        mapped: MappedMetrics {
+            area: design.area(),
+            delay: design.delay(),
+            power: design.power(),
+            cells: design.num_cells(),
+        },
         design,
-        mig_equiv,
+        mig_equiv: job.mig_equiv(rounds),
         map_equiv,
         millis,
-        degraded,
+        degraded: stages.iter().any(|s| s.outcome.degraded()),
+        stages,
     })
 }
 
@@ -484,18 +435,16 @@ fn pct(before: f64, after: f64) -> String {
 
 /// The paper cross-reference printed next to a pass name in the report.
 fn pass_label(pass: &str) -> String {
-    match pass {
-        "size" => "size (Alg. 1)".to_string(),
-        "depth" => "depth (Alg. 2)".to_string(),
-        "activity" => "activity (§IV-C)".to_string(),
-        "rewrite" => "rewrite (Boolean)".to_string(),
-        "depth_rewrite" => "depth_rewrite (Boolean)".to_string(),
-        "esat" => "esat (e-graph)".to_string(),
-        "depth_esat" => "depth_esat (e-graph)".to_string(),
-        "map_area" => "map_area (mapped §V)".to_string(),
-        "map_delay" => "map_delay (mapped §V)".to_string(),
-        other => other.to_string(),
-    }
+    let source = match pass {
+        "size" => "Alg. 1",
+        "depth" => "Alg. 2",
+        "activity" => "§IV-C",
+        "rewrite" | "depth_rewrite" => "Boolean",
+        "esat" | "depth_esat" => "e-graph",
+        "map_area" | "map_delay" => "mapped §V",
+        other => return other.to_string(),
+    };
+    format!("{pass} ({source})")
 }
 
 /// Renders the human-readable report the CLI prints: one row per
@@ -550,7 +499,7 @@ pub fn render_report(o: &OptOutcome) -> String {
 
 /// The per-stage degraded-outcome marker (` [rolled_back]` etc.; empty
 /// for clean completions).
-fn outcome_marker(stage: &StageReport) -> String {
+fn outcome_marker(stage: &PassReport) -> String {
     if stage.outcome.degraded() {
         format!("  [{}]", stage.outcome)
     } else {
@@ -560,8 +509,8 @@ fn outcome_marker(stage: &StageReport) -> String {
 
 /// Appends the `degraded:` summary block — one line per degraded stage
 /// with its ledger note — or nothing when every stage completed.
-fn push_degraded_summary(s: &mut String, stages: &[StageReport]) {
-    let degraded: Vec<&StageReport> = stages.iter().filter(|st| st.outcome.degraded()).collect();
+fn push_degraded_summary(s: &mut String, stages: &[PassReport]) {
+    let degraded: Vec<&PassReport> = stages.iter().filter(|st| st.outcome.degraded()).collect();
     if degraded.is_empty() {
         return;
     }
@@ -633,124 +582,5 @@ pub fn emit_verilog(net: &Network, path: &str) -> Result<(), String> {
         Ok(())
     } else {
         std::fs::write(path, text).map_err(|e| format!("writing `{path}`: {e}"))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn load_input_resolves_benchmarks_and_rejects_garbage() {
-        let net = load_input("alu4").expect("benchmark name resolves");
-        assert_eq!(net.num_inputs(), 14);
-        let err = load_input("no_such_benchmark_or_file").unwrap_err();
-        assert!(err.contains("neither a known benchmark"));
-    }
-
-    #[test]
-    fn opt_all_improves_and_stays_equivalent() {
-        let net = load_input("my_adder").unwrap();
-        let o = run_opt(&net, OptTarget::All, 2, 16, false, 1);
-        assert!(o.mig_equiv, "MIG-level equivalence must hold");
-        assert!(o.net_equiv, "network-level equivalence must hold");
-        assert!(o.after.size <= o.before.size);
-        assert!(o.after.depth <= o.before.depth);
-        assert_eq!(o.flow, "size; depth; activity");
-        let passes: Vec<&str> = o.stages.iter().map(|s| s.pass.as_str()).collect();
-        for expected in ["size", "depth", "activity"] {
-            assert!(passes.contains(&expected), "missing pass {expected}");
-        }
-    }
-
-    #[test]
-    fn rewrite_flow_adds_a_stage_and_stays_equivalent() {
-        let net = load_input("my_adder").unwrap();
-        let plain = run_opt(&net, OptTarget::Size, 1, 16, false, 1);
-        let o = run_opt(&net, OptTarget::Size, 1, 16, true, 1);
-        assert!(o.mig_equiv && o.net_equiv);
-        assert_eq!(o.flow, "size; rewrite");
-        let passes: Vec<&str> = o.stages.iter().map(|s| s.pass.as_str()).collect();
-        assert!(passes.contains(&"rewrite"), "{passes:?}");
-        assert!(o.after.size <= plain.after.size, "rewrite must not grow");
-    }
-
-    #[test]
-    fn run_flow_matches_the_compiled_target() {
-        // The thin-wrapper contract: run_opt(target) and run_flow on the
-        // canned script must produce the same stages and metrics.
-        let net = load_input("count").unwrap();
-        let via_target = run_opt(&net, OptTarget::All, 1, 8, true, 1);
-        let flow = Flow::parse(flow_for_target(OptTarget::All, true)).unwrap();
-        let via_flow = run_flow(&net, &flow, 1, 8, 1);
-        assert_eq!(via_target.flow, via_flow.flow);
-        assert_eq!(via_target.after.size, via_flow.after.size);
-        assert_eq!(via_target.after.depth, via_flow.after.depth);
-        assert_eq!(via_target.stages.len(), via_flow.stages.len());
-        for (a, b) in via_target.stages.iter().zip(&via_flow.stages) {
-            assert_eq!(a.pass, b.pass);
-            assert_eq!(a.after.size, b.after.size);
-            assert_eq!(a.after.depth, b.after.depth);
-        }
-    }
-
-    #[test]
-    fn custom_flows_run_and_verify() {
-        let net = load_input("my_adder").unwrap();
-        let flow = Flow::parse("rewrite; depth_rewrite; size*2").unwrap();
-        let o = run_flow(&net, &flow, 1, 8, 1);
-        assert!(o.mig_equiv && o.net_equiv);
-        assert_eq!(o.flow, "rewrite; depth_rewrite; size*2");
-        let passes: Vec<&str> = o.stages.iter().map(|s| s.pass.as_str()).collect();
-        assert!(passes.ends_with(&["rewrite", "depth_rewrite", "size", "size"]));
-    }
-
-    #[test]
-    fn report_mentions_every_metric_verdict_and_per_pass_time() {
-        let net = load_input("my_adder").unwrap();
-        let o = run_opt(&net, OptTarget::Size, 1, 8, false, 1);
-        let r = render_report(&o);
-        for needle in [
-            "size",
-            "Δsize",
-            "depth",
-            "Δdepth",
-            "activity",
-            "ms",
-            "flow: size",
-            "size (Alg. 1)",
-            "PASS",
-        ] {
-            assert!(r.contains(needle), "missing `{needle}` in:\n{r}");
-        }
-    }
-
-    #[test]
-    fn target_parsing_round_trips() {
-        for t in [
-            OptTarget::Size,
-            OptTarget::Depth,
-            OptTarget::Activity,
-            OptTarget::All,
-        ] {
-            assert_eq!(OptTarget::parse(&t.to_string()).unwrap(), t);
-        }
-        assert!(OptTarget::parse("speed").is_err());
-    }
-
-    #[test]
-    fn canned_flows_all_parse() {
-        for target in [
-            OptTarget::Size,
-            OptTarget::Depth,
-            OptTarget::Activity,
-            OptTarget::All,
-        ] {
-            for rewrite in [false, true] {
-                let script = flow_for_target(target, rewrite);
-                let flow = Flow::parse(script).expect(script);
-                assert_eq!(flow.to_string(), script, "canned scripts are canonical");
-            }
-        }
     }
 }

@@ -64,11 +64,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mig_core::{Flow, OptContext};
+use mig_core::{Flow, OptContext, PassMetrics};
 use mig_netlist::{parse_verilog, write_verilog, Network};
 
 use crate::json::{escape_str, Json};
-use crate::{run_flow_session, OptOutcome, RunOptions, Snapshot};
+use crate::{run_flow_session, OptOutcome, RunOptions};
 
 /// Exit codes of the per-job contract (the CLI's codes, reused on the
 /// wire).
@@ -157,8 +157,8 @@ struct CacheEntry {
 /// What a cache hit replays: the verified outcome minus its wall times.
 struct CachedResult {
     optimized: Network,
-    before: Snapshot,
-    after: Snapshot,
+    before: PassMetrics,
+    after: PassMetrics,
     flow: String,
     stages: usize,
 }
@@ -777,8 +777,8 @@ fn execute_job(job: &Job, ctx: &mut OptContext, shared: &Arc<Shared>) {
 struct ResultFields<'a> {
     name: &'a str,
     flow: &'a str,
-    before: Snapshot,
-    after: Snapshot,
+    before: PassMetrics,
+    after: PassMetrics,
     stages: usize,
     mig_equiv: bool,
     net_equiv: bool,
@@ -1122,27 +1122,22 @@ pub fn render_load_table(sweeps: &[SweepResult]) -> String {
 mod tests {
     use super::*;
 
+    /// A cache entry (the cache never looks inside one).
+    fn entry() -> CachedResult {
+        let empty = PassMetrics::of(&mig_core::Mig::new("x"));
+        CachedResult {
+            optimized: Network::new("x"),
+            before: empty,
+            after: empty,
+            flow: "size".to_string(),
+            stages: 0,
+        }
+    }
+
     #[test]
     fn cache_is_bounded_and_lru() {
         let mut cache = JobCache::new(2);
         let key = |n: u64| (n, "size".to_string(), 1usize);
-        let entry = || CachedResult {
-            optimized: Network::new("x"),
-            before: Snapshot {
-                size: 1,
-                depth: 1,
-                activity: 0.0,
-                mapped: None,
-            },
-            after: Snapshot {
-                size: 1,
-                depth: 1,
-                activity: 0.0,
-                mapped: None,
-            },
-            flow: "size".to_string(),
-            stages: 1,
-        };
         cache.insert(key(1), entry());
         cache.insert(key(2), entry());
         assert!(cache.get(&key(1)).is_some(), "touch 1 → 2 becomes LRU");
@@ -1156,26 +1151,7 @@ mod tests {
     #[test]
     fn zero_capacity_cache_never_stores() {
         let mut cache = JobCache::new(0);
-        cache.insert(
-            (1, "size".to_string(), 1),
-            CachedResult {
-                optimized: Network::new("x"),
-                before: Snapshot {
-                    size: 0,
-                    depth: 0,
-                    activity: 0.0,
-                    mapped: None,
-                },
-                after: Snapshot {
-                    size: 0,
-                    depth: 0,
-                    activity: 0.0,
-                    mapped: None,
-                },
-                flow: "size".to_string(),
-                stages: 0,
-            },
-        );
+        cache.insert((1, "size".to_string(), 1), entry());
         assert!(cache.entries.is_empty());
     }
 

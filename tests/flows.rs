@@ -153,6 +153,19 @@ fn check_mirror_after_pass(mirror: &mut LevelMap, out: &Mig, what: &str) {
     assert_levels_exact(mirror, &grown, &format!("{what}, grown"));
 }
 
+/// Asserts a pass ended [`PassOutcome::Completed`]. Debug builds
+/// shadow-check every `RewriteCache` translation inside the rewriting
+/// passes; a failed check panics, and the pipeline turns that panic into
+/// a rollback, so this is where such a failure surfaces.
+fn assert_completed(report: &PassReport, what: &str) {
+    assert_eq!(
+        report.outcome,
+        PassOutcome::Completed,
+        "{what}: {}",
+        report.note.as_deref().unwrap_or("no note")
+    );
+}
+
 /// Runs `flow` at effort 1 pass by pass through [`OptContext::run_pass`],
 /// exactly as [`Flow::run`] sequences it, and shadow-checks one
 /// [`LevelMap`] after every pass.
@@ -174,6 +187,7 @@ fn run_with_level_shadow(flow: &Flow, mig: Mig, ctx: &mut OptContext, what: &str
                 &format!("{what}, {} run {run}", step.pass),
             );
             let report = ctx.ledger().last().expect("run_pass appends");
+            assert_completed(report, &format!("{what}, {} run {run}", step.pass));
             if step.repeat == Repeat::Converge && !pass.improved(&report.before, &report.after) {
                 break;
             }
@@ -184,18 +198,15 @@ fn run_with_level_shadow(flow: &Flow, mig: Mig, ctx: &mut OptContext, what: &str
 
 #[test]
 fn canned_and_random_flows_preserve_semantics_at_any_job_count() {
-    // Every canned flow `run_opt` compiles legacy targets to, plus 3
-    // randomized flows: on the whole corpus the result must stay
+    // Every flow the legacy `--target`/`--rewrite` aliases resolve to,
+    // plus 3 randomized flows: on the whole corpus the result must stay
     // equivalent to the input and be bit-identical between jobs=1 and
     // jobs=4. The jobs=1 run is stepped pass by pass with the level
     // mirror shadow-checked after every pass.
-    let mut scripts: Vec<String> = Vec::new();
-    for target in ["size", "depth", "activity", "all"] {
-        let t = mig_mighty::OptTarget::parse(target).unwrap();
-        for rewrite in [false, true] {
-            scripts.push(mig_mighty::flow_for_target(t, rewrite).to_string());
-        }
-    }
+    let mut scripts: Vec<String> = mig_mighty::TARGET_FLOWS
+        .iter()
+        .map(|&(_, _, script)| script.to_string())
+        .collect();
     let mut rng = SplitMix64::seed_from_u64(0x5EED_F10E_5EED_F10E);
     for _ in 0..3 {
         scripts.push(random_flow(&mut rng).to_string());
@@ -226,13 +237,30 @@ fn canned_and_random_flows_preserve_semantics_at_any_job_count() {
 }
 
 #[test]
+fn rewrite_cache_translations_pass_their_shadow_check_on_benchmarks() {
+    // Three MCNC circuits through the rewrite fixpoint, with every
+    // `RewriteCache::translate` shadow-checked (debug builds) against
+    // simulation of the new graph.
+    let flow = Flow::parse("size; rewrite*").unwrap();
+    for name in ["my_adder", "alu4", "C1355"] {
+        let mig = Mig::from_network(&mig_suite::benchgen::generate(name).unwrap());
+        let mut ctx = OptContext::with_jobs(1);
+        let out = flow.run(mig.clone(), 1, &mut ctx);
+        for report in ctx.ledger() {
+            assert_completed(report, &format!("{name}, {}", report.pass));
+        }
+        assert!(out.equiv(&mig, ROUNDS), "{name} broke equivalence");
+    }
+}
+
+#[test]
 fn flow_script_drives_the_cli_pipeline() {
     // End to end through the mighty library (the exact `--flow` path):
     // a flow with repetition and convergence markers verifies on a
     // generated benchmark.
     let net = mig_suite::benchgen::generate("my_adder").unwrap();
     let flow = Flow::parse("rewrite*; size*2; depth_rewrite").unwrap();
-    let o = mig_mighty::run_flow(&net, &flow, 1, ROUNDS, 1);
+    let o = mig_mighty::run_flow_with(&net, &flow, 1, ROUNDS, 1, &Default::default());
     assert!(o.mig_equiv && o.net_equiv, "flow must verify");
     assert!(o.after.size <= o.before.size);
     assert!(!o.stages.is_empty());

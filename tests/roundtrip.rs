@@ -64,7 +64,8 @@ fn roundtrip_pla_b9() {
 fn mighty_pipeline_matches_facade_pipeline() {
     // The CLI driver must agree with the facade-level pipeline.
     let net = mig_suite::benchgen::generate("my_adder").unwrap();
-    let outcome = mig_mighty::run_opt(&net, mig_mighty::OptTarget::Size, 1, ROUNDS, false, 1);
+    let flow = mig_core::Flow::parse(mig_mighty::target_flow("size", false).unwrap()).unwrap();
+    let outcome = mig_mighty::run_flow_with(&net, &flow, 1, ROUNDS, 1, &Default::default());
     assert!(outcome.mig_equiv && outcome.net_equiv);
     assert!(equivalent(&net, &outcome.optimized, ROUNDS));
 }
