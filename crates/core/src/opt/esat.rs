@@ -64,7 +64,8 @@
 //! [`EsatPass`] keeps the extraction only when it beats its input
 //! (monotone guard), so the pass can never regress a flow.
 
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 use super::depth::DepthOptConfig;
@@ -116,9 +117,97 @@ impl ELit {
 /// at most one complement among them.
 type ENode = [ELit; 3];
 
+/// The hash-cons's hasher: an Fx-style multiply-rotate over the key
+/// words, finished with the splitmix64 finalizer of `strash`. It is
+/// fixed rather than randomly keyed: every key is a node the program
+/// built itself, and no result depends on the memo's iteration order.
+#[derive(Debug, Default, Clone, Copy)]
+struct NodeHasher(u64);
+
+impl Hasher for NodeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+type NodeBuildHasher = BuildHasherDefault<NodeHasher>;
+
+/// One class's e-nodes with their output parities, in insertion order.
+/// Most classes hold a single node for their whole life (every fresh
+/// `maj` node starts one), so that case is stored inline and costs no
+/// heap allocation.
+#[derive(Debug, Clone, Default)]
+enum ClassNodes {
+    #[default]
+    Empty,
+    One((ENode, bool)),
+    Many(Vec<(ENode, bool)>),
+}
+
+impl std::ops::Deref for ClassNodes {
+    type Target = [(ENode, bool)];
+
+    fn deref(&self) -> &[(ENode, bool)] {
+        match self {
+            ClassNodes::Empty => &[],
+            ClassNodes::One(entry) => std::slice::from_ref(entry),
+            ClassNodes::Many(list) => list,
+        }
+    }
+}
+
+impl std::ops::DerefMut for ClassNodes {
+    fn deref_mut(&mut self) -> &mut [(ENode, bool)] {
+        match self {
+            ClassNodes::Empty => &mut [],
+            ClassNodes::One(entry) => std::slice::from_mut(entry),
+            ClassNodes::Many(list) => list,
+        }
+    }
+}
+
+impl ClassNodes {
+    fn push(&mut self, entry: (ENode, bool)) {
+        match self {
+            ClassNodes::Empty => *self = ClassNodes::One(entry),
+            ClassNodes::One(first) => *self = ClassNodes::Many(vec![*first, entry]),
+            ClassNodes::Many(list) => list.push(entry),
+        }
+    }
+
+    /// Empties the list, keeping a spilled list's allocation.
+    fn clear(&mut self) {
+        match self {
+            ClassNodes::Many(list) => list.clear(),
+            _ => *self = ClassNodes::Empty,
+        }
+    }
+}
+
 /// What a class bottoms out as, when it contains a primary input or the
 /// constant (extraction leaves).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Leaf {
     /// The constant-false class.
     Const,
@@ -223,12 +312,64 @@ enum Action {
     },
 }
 
-/// One matching sweep's actions, flat: target `t`'s actions are
-/// `actions[offsets[t]..offsets[t + 1]]`, targets in snapshot order
-/// (class id, then node list order). The buffers are reused across
+/// The class lists at one moment, flat: class `c`'s e-nodes are
+/// `entries[start[c]..start[c + 1]]`, each with the literal it equals,
+/// in class id order, then node list order. A matching sweep's targets
+/// and a congruence sweep's turns are the entries in this order.
+#[derive(Debug, Default, Clone)]
+struct ClassSnapshot {
+    start: Vec<u32>,
+    entries: Vec<(ELit, ENode)>,
+}
+
+impl ClassSnapshot {
+    fn take(&mut self, g: &EGraph) {
+        self.start.clear();
+        self.entries.clear();
+        self.start.push(0);
+        for c in 0..g.uf.len() {
+            if g.uf[c].class() == c as u32 {
+                let list = g.nodes[c].iter();
+                self.entries
+                    .extend(list.map(|&(n, oc)| (ELit::new(c as u32, oc), n)));
+            }
+            self.start.push(self.entries.len() as u32);
+        }
+    }
+
+    /// The class count when the snapshot was taken.
+    fn classes(&self) -> u32 {
+        self.start.len() as u32 - 1
+    }
+
+    fn class(&self, c: u32) -> &[(ELit, ENode)] {
+        &self.entries[self.start[c as usize] as usize..self.start[c as usize + 1] as usize]
+    }
+}
+
+/// One matching sweep's actions, produced a window of round-robin
+/// rounds at a time.
+///
+/// The apply loop takes the actions round-robin across targets (see
+/// [`round_robin`](Matches::round_robin)) and stops at the e-node cap,
+/// on a capped sweep usually within the first two rounds. So a window
+/// ([`fill_target`](Matches::fill_target)) keeps only the actions
+/// whose rank within their target falls in it, and stops matching a
+/// target at the first action past it; those targets form the next,
+/// twice as wide window. Matching reads the [`ClassSnapshot`] taken
+/// before any action was applied, so every window holds what one whole
+/// sweep matched before applying would have held.
+///
+/// Window layout: target `targets[t]`'s actions are
+/// `actions[offsets[t]..offsets[t + 1]]`. The buffers are reused across
 /// saturation iterations.
 #[derive(Debug, Default)]
 struct Matches {
+    snapshot: ClassSnapshot,
+    /// The window's targets (snapshot entry indices), and the ones that
+    /// have actions past it.
+    targets: Vec<u32>,
+    truncated: Vec<u32>,
     actions: Vec<Action>,
     offsets: Vec<usize>,
     /// Scratch of [`Matches::round_robin`]: the targets that still have
@@ -237,16 +378,49 @@ struct Matches {
 }
 
 impl Matches {
+    /// Snapshots `g` and makes every node a target of the first window.
+    fn start(&mut self, g: &EGraph) {
+        self.snapshot.take(g);
+        self.targets.clear();
+        self.targets.extend(0..self.snapshot.entries.len() as u32);
+    }
+
+    /// Opens the window over the current targets.
     fn clear(&mut self) {
         self.actions.clear();
         self.offsets.clear();
         self.offsets.push(0);
+        self.truncated.clear();
     }
 
-    /// Closes the current target: the actions pushed since the previous
-    /// call are its own.
-    fn end_target(&mut self) {
+    /// Matches the window's `i`-th target, keeping its actions of rank
+    /// `ranks.start..ranks.end`, and returns the first of them.
+    fn fill_target(
+        &mut self,
+        g: &EGraph,
+        i: usize,
+        scan_cap: usize,
+        ranks: std::ops::Range<usize>,
+    ) -> Option<Action> {
+        let t = self.targets[i];
+        let mut window = Window {
+            actions: &mut self.actions,
+            skip: ranks.start,
+            room: ranks.len(),
+        };
+        if g.match_node(&self.snapshot, t as usize, scan_cap, &mut window) {
+            self.truncated.push(t);
+        }
+        let first = self.offsets[i];
         self.offsets.push(self.actions.len());
+        self.actions[first..].first().copied()
+    }
+
+    /// Makes the truncated targets the next window's; false when there
+    /// are none.
+    fn advance(&mut self) -> bool {
+        std::mem::swap(&mut self.targets, &mut self.truncated);
+        !self.targets.is_empty()
     }
 
     /// The actions interleaved round-robin across targets — every
@@ -254,24 +428,50 @@ impl Matches {
     /// second, and so on — so when the apply loop runs out of node
     /// budget mid-sweep, exploration has been spread over the whole
     /// graph instead of a prefix of it. Targets drop out of the walk
-    /// once exhausted, so a sweep costs O(actions + targets).
+    /// once exhausted, so a sweep costs O(actions + targets). The walk
+    /// starts at the window's second round: the first is applied while
+    /// the window fills.
     fn round_robin(&mut self) -> RoundRobin<'_> {
         self.live.clear();
         self.live.extend(
             self.offsets
                 .windows(2)
                 .enumerate()
-                .filter(|(_, w)| w[0] < w[1])
+                .filter(|(_, w)| w[0] + 1 < w[1])
                 .map(|(t, _)| t as u32),
         );
         RoundRobin {
             actions: &self.actions,
             offsets: &self.offsets,
             live: &mut self.live,
-            round: 0,
+            round: 1,
             next: 0,
             kept: 0,
         }
+    }
+}
+
+/// The ranks of one target's action sequence a window keeps:
+/// `skip..skip + room`.
+struct Window<'a> {
+    actions: &'a mut Vec<Action>,
+    skip: usize,
+    room: usize,
+}
+
+impl Window<'_> {
+    /// Keeps `action` if its rank is in the window; false once the rank
+    /// is past it.
+    fn push(&mut self, action: Action) -> bool {
+        if self.skip > 0 {
+            self.skip -= 1;
+        } else if self.room > 0 {
+            self.room -= 1;
+            self.actions.push(action);
+        } else {
+            return false;
+        }
+        true
     }
 }
 
@@ -311,10 +511,65 @@ impl Iterator for RoundRobin<'_> {
     }
 }
 
+/// A frozen, flat view of the e-graph for extraction (the union-find
+/// does not change during extraction): the child classes of every root
+/// class's e-nodes, in node-list order, in one array. Node `idx` of
+/// class `c` is `of(c)[idx]`, the same index as in the class list;
+/// absorbed classes have no nodes.
+struct FlatClasses {
+    start: Vec<u32>,
+    kids: Vec<[u32; 3]>,
+}
+
+impl FlatClasses {
+    fn new(g: &EGraph) -> FlatClasses {
+        let mut start = Vec::with_capacity(g.uf.len() + 1);
+        let mut kids = Vec::with_capacity(g.num_enodes);
+        start.push(0);
+        for c in 0..g.uf.len() {
+            if g.uf[c].class() == c as u32 {
+                for (node, _) in g.nodes[c].iter() {
+                    kids.push(node.map(|kid| g.find_nc(kid).class()));
+                }
+            }
+            start.push(kids.len() as u32);
+        }
+        FlatClasses { start, kids }
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The child classes of class `c`'s e-nodes.
+    fn of(&self, c: usize) -> &[[u32; 3]] {
+        &self.kids[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+
+    /// The set of root classes an extraction choice actually
+    /// materializes: everything reachable from `out_classes` through
+    /// the chosen node of each class (`usize::MAX` = leaf, terminal).
+    fn used_classes(&self, choice: &[Option<usize>], out_classes: &[usize]) -> Option<Vec<bool>> {
+        let mut used = vec![false; choice.len()];
+        let mut stack: Vec<usize> = out_classes.to_vec();
+        while let Some(c) = stack.pop() {
+            if used[c] {
+                continue;
+            }
+            used[c] = true;
+            let idx = choice[c]?;
+            if idx == usize::MAX {
+                continue;
+            }
+            stack.extend(self.of(c)[idx].iter().map(|&k| k as usize));
+        }
+        Some(used)
+    }
+}
+
 /// Dirty-frontier scheduling for extraction's fixpoints over the
-/// frozen e-graph (the union-find does not change during extraction,
-/// so the parent lists stay valid). A class is re-evaluated only when
-/// a child class's value changed since its last evaluation.
+/// frozen e-graph. A class is re-evaluated only when a child class's
+/// value changed since its last evaluation.
 ///
 /// Exactness against a full ascending sweep repeated until nothing
 /// changes: re-evaluating a class whose children are unchanged
@@ -324,7 +579,10 @@ impl Iterator for RoundRobin<'_> {
 /// ascending order, so a parent above the changed child joins the
 /// current round and a parent at or below it waits for the next.
 struct Frontier {
-    parents: Vec<Vec<u32>>,
+    /// The classes whose nodes use class `c`, ascending and without
+    /// repeats, are `parents[parent_start[c]..parent_start[c + 1]]`.
+    parent_start: Vec<u32>,
+    parents: Vec<u32>,
     dirty_now: Vec<bool>,
     dirty_next: Vec<bool>,
 }
@@ -334,25 +592,37 @@ impl Frontier {
     /// below it).
     const SWEEP_CAP: usize = 10_000;
 
-    fn new(g: &EGraph) -> Frontier {
-        let n = g.uf.len();
-        let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
+    fn new(view: &FlatClasses) -> Frontier {
+        let n = view.len();
+        // Two passes over the parent edges, counting then filling;
+        // `last[k]` drops the repeats a class's other nodes add.
+        let mut parent_start = vec![0u32; n + 1];
+        let mut last = vec![u32::MAX; n];
         for c in 0..n {
-            if g.uf[c].class() != c as u32 {
-                continue;
-            }
-            for &(node, _) in &g.nodes[c] {
-                for kid in node {
-                    let kc = g.find_nc(kid).class() as usize;
-                    parents[kc].push(c as u32);
+            for &k in view.of(c).iter().flatten() {
+                if last[k as usize] != c as u32 {
+                    last[k as usize] = c as u32;
+                    parent_start[k as usize + 1] += 1;
                 }
             }
         }
-        for list in &mut parents {
-            list.sort_unstable();
-            list.dedup();
+        for k in 0..n {
+            parent_start[k + 1] += parent_start[k];
+        }
+        let mut fill = parent_start.clone();
+        let mut parents = vec![0u32; parent_start[n] as usize];
+        last.fill(u32::MAX);
+        for c in 0..n {
+            for &k in view.of(c).iter().flatten() {
+                if last[k as usize] != c as u32 {
+                    last[k as usize] = c as u32;
+                    parents[fill[k as usize] as usize] = c as u32;
+                    fill[k as usize] += 1;
+                }
+            }
         }
         Frontier {
+            parent_start,
             parents,
             dirty_now: vec![true; n],
             dirty_next: vec![false; n],
@@ -370,7 +640,9 @@ impl Frontier {
                 if !self.dirty_now[c] || !eval(c) {
                     continue;
                 }
-                for &p in &self.parents[c] {
+                let parents =
+                    &self.parents[self.parent_start[c] as usize..self.parent_start[c + 1] as usize];
+                for &p in parents {
                     if (p as usize) > c {
                         self.dirty_now[p as usize] = true;
                     } else {
@@ -390,23 +662,42 @@ impl Frontier {
 /// An e-graph over complement-normalized majority nodes: union-find with
 /// per-edge complement parity, hash-cons congruence closure, the Ω/Ψ
 /// rule matcher, and cost-based extraction.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct EGraph {
     /// Union-find: `uf[c]` is the literal class `c` (uncomplemented)
     /// equals. A root satisfies `uf[c] == ELit::new(c, false)`.
     uf: Vec<ELit>,
     /// Per root class: its e-nodes with their output parity — entry
     /// `(n, oc)` means node `n` equals `ELit::new(class, oc)`.
-    nodes: Vec<Vec<(ENode, bool)>>,
+    nodes: Vec<ClassNodes>,
     /// Per root class: the primary input / constant it contains, with
     /// the parity relating leaf to root.
     leaf: Vec<Option<(Leaf, bool)>>,
-    /// Hash-cons: canonical node → the literal it evaluates to.
-    memo: HashMap<ENode, ELit>,
+    /// Hash-cons: canonical node → the literal it evaluates to. Its
+    /// keys are exactly the nodes of the class lists.
+    memo: HashMap<ENode, ELit, NodeBuildHasher>,
     /// Live e-node count (absorbed duplicates excluded).
     num_enodes: usize,
     /// Successful merges since construction.
     merges: usize,
+    /// Buffers of [`EGraph::sweep`], reused across sweeps.
+    sweep_scratch: SweepScratch,
+}
+
+/// What one [`EGraph::sweep`] tracks.
+#[derive(Debug, Default, Clone)]
+struct SweepScratch {
+    /// The class lists as the sweep found them; its entries in order
+    /// are the turns.
+    gathered: ClassSnapshot,
+    /// Per turn: the literal its node was inserted with, if it was.
+    inserted: Vec<ELit>,
+    /// The new forms of moved nodes inserted so far.
+    claims: HashMap<ENode, ELit, NodeBuildHasher>,
+    /// The old forms of the moved nodes.
+    moved: Vec<ENode>,
+    /// The union-find as the sweep found it.
+    uf_at_gather: Vec<ELit>,
 }
 
 impl EGraph {
@@ -452,7 +743,7 @@ impl EGraph {
     fn fresh_class(&mut self) -> u32 {
         let id = self.uf.len() as u32;
         self.uf.push(ELit::new(id, false));
-        self.nodes.push(Vec::new());
+        self.nodes.push(ClassNodes::Empty);
         self.leaf.push(None);
         id
     }
@@ -495,16 +786,7 @@ impl EGraph {
     /// [`find`](Self::find) without path compression, for read-only
     /// walks holding shared borrows of the class lists.
     fn find_nc(&self, lit: ELit) -> ELit {
-        let mut c = lit.class();
-        let mut total = lit.is_complemented();
-        loop {
-            let p = self.uf[c as usize];
-            if p.class() == c {
-                return ELit::new(c, total);
-            }
-            total ^= p.is_complemented();
-            c = p.class();
-        }
+        find_in(&self.uf, lit)
     }
 
     /// The canonical form of a prospective node over already-canonical
@@ -548,13 +830,18 @@ impl EGraph {
         match Self::canon(kids) {
             Err(folded) => folded,
             Ok((node, out)) => {
-                if let Some(&lit) = self.memo.get(&node) {
-                    let lit = self.find(lit);
-                    return lit.complement_if(out);
+                let id = self.uf.len() as u32;
+                match self.memo.entry(node) {
+                    hash_map::Entry::Occupied(hit) => {
+                        let lit = *hit.get();
+                        return self.find(lit).complement_if(out);
+                    }
+                    hash_map::Entry::Vacant(slot) => {
+                        slot.insert(ELit::new(id, false));
+                    }
                 }
-                let id = self.fresh_class();
+                self.fresh_class();
                 self.nodes[id as usize].push((node, false));
-                self.memo.insert(node, ELit::new(id, false));
                 self.num_enodes += 1;
                 ELit::new(id, out)
             }
@@ -582,7 +869,7 @@ impl EGraph {
         let q = r.is_complemented() ^ s.is_complemented();
         self.uf[s.class() as usize] = ELit::new(r.class(), q);
         let moved = std::mem::take(&mut self.nodes[s.class() as usize]);
-        for (n, oc) in moved {
+        for &(n, oc) in moved.iter() {
             self.nodes[r.class() as usize].push((n, oc ^ q));
         }
         if let Some((l, p)) = self.leaf[s.class() as usize].take() {
@@ -597,90 +884,140 @@ impl EGraph {
     /// Restores the congruence invariant after merges: every node is
     /// re-canonicalized against the union-find and re-hash-consed;
     /// colliding nodes merge their classes. Runs sweeps until a sweep
-    /// performs no merge.
+    /// performs no merge, then points every memo value at its root.
     fn rebuild(&mut self) {
-        loop {
-            // Gather every (literal, node) pair, then rebuild the class
-            // lists and the memo from scratch.
-            let mut entries: Vec<(ELit, ENode)> = Vec::with_capacity(self.num_enodes);
-            for c in 0..self.uf.len() {
-                if self.uf[c].class() != c as u32 {
-                    continue;
+        while self.sweep() {}
+        let uf = &self.uf;
+        for lit in self.memo.values_mut() {
+            *lit = find_in(uf, *lit);
+        }
+    }
+
+    /// One congruence sweep. It computes what re-inserting every node,
+    /// in class order and then list order, into an emptied memo
+    /// computes: the same `find` calls, merges, class lists and live
+    /// count. Returns whether it merged any classes.
+    ///
+    /// Only *moved* nodes, those with a child outside the root set,
+    /// touch the memo. A node with root children at its turn is its own
+    /// canonical form, and stored nodes are pairwise distinct (they are
+    /// the memo's keys). So such a node can only collide with an earlier
+    /// moved node's new form, which `claims` holds. A moved node's new
+    /// form `n` can also collide with the node stored as `n`: that node
+    /// has root children now, so it had them at its own turn and was
+    /// inserted there if its turn came first. The memo value of `n`,
+    /// resolved against the union-find as it was at the start of the
+    /// sweep, names the class it was gathered from, which locates its
+    /// turn. Afterwards the memo drops the moved nodes' old keys and
+    /// takes the claims; values may name absorbed classes until
+    /// [`rebuild`](Self::rebuild) resolves them.
+    fn sweep(&mut self) -> bool {
+        let mut scratch = std::mem::take(&mut self.sweep_scratch);
+        let SweepScratch {
+            gathered,
+            inserted,
+            claims,
+            moved,
+            uf_at_gather,
+        } = &mut scratch;
+        gathered.take(self);
+        for list in &mut self.nodes {
+            list.clear();
+        }
+        uf_at_gather.clone_from(&self.uf);
+        let entries = &gathered.entries;
+        inserted.clear();
+        inserted.resize(entries.len(), ELit::FALSE);
+        self.num_enodes = 0;
+        let mut changed = false;
+        for (i, &(lit, node)) in entries.iter().enumerate() {
+            let lit = self.find(lit);
+            let unchanged = node
+                .iter()
+                .all(|k| self.uf[k.class() as usize].class() == k.class());
+            let form = if unchanged {
+                Ok((node, false))
+            } else {
+                moved.push(node);
+                Self::canon([self.find(node[0]), self.find(node[1]), self.find(node[2])])
+            };
+            match form {
+                Err(folded) => {
+                    changed |= self.merge(lit, folded);
                 }
-                for &(n, oc) in &self.nodes[c] {
-                    entries.push((ELit::new(c as u32, oc), n));
-                }
-            }
-            for list in &mut self.nodes {
-                list.clear();
-            }
-            self.memo.clear();
-            self.num_enodes = 0;
-            let mut changed = false;
-            for (lit, node) in entries {
-                let lit = self.find(lit);
-                let kids = [self.find(node[0]), self.find(node[1]), self.find(node[2])];
-                match Self::canon(kids) {
-                    Err(folded) => {
-                        changed |= self.merge(lit, folded);
-                    }
-                    Ok((n, flip)) => {
-                        // `n` computes `lit` up to `flip`.
-                        let nlit = lit.complement_if(flip);
-                        match self.memo.get(&n) {
-                            Some(&prev) => {
-                                let prev = self.find(prev);
-                                if prev != nlit {
-                                    changed |= self.merge(prev, nlit);
-                                }
+                Ok((n, flip)) => {
+                    // `n` computes `lit` up to `flip`.
+                    let nlit = lit.complement_if(flip);
+                    // The literal of the node inserted as `n` earlier in
+                    // this sweep, if any.
+                    let prev = match claims.get(&n) {
+                        Some(&prev) => Some(prev),
+                        None if unchanged => None,
+                        None => self.memo.get(&n).and_then(|&held| {
+                            let c = find_in(uf_at_gather, held).class();
+                            let first = gathered.start[c as usize] as usize;
+                            let turn = first
+                                + gathered
+                                    .class(c)
+                                    .iter()
+                                    .position(|e| e.1 == n)
+                                    .expect("a memo key is a stored node");
+                            (turn < i).then(|| inserted[turn])
+                        }),
+                    };
+                    match prev {
+                        Some(prev) => {
+                            let prev = self.find(prev);
+                            if prev != nlit {
+                                changed |= self.merge(prev, nlit);
                             }
-                            None => {
-                                self.memo.insert(n, nlit);
-                                let root = self.find(nlit);
-                                self.nodes[root.class() as usize].push((n, root.is_complemented()));
-                                self.num_enodes += 1;
+                        }
+                        None => {
+                            if !unchanged {
+                                claims.insert(n, nlit);
                             }
+                            inserted[i] = nlit;
+                            let root = self.find(nlit);
+                            self.nodes[root.class() as usize].push((n, root.is_complemented()));
+                            self.num_enodes += 1;
                         }
                     }
                 }
             }
-            if !changed {
-                break;
-            }
         }
+        for old in moved.drain(..) {
+            self.memo.remove(&old);
+        }
+        self.memo.extend(claims.drain());
+        self.sweep_scratch = scratch;
+        changed
     }
 
-    /// Whether the majority of three (canonical) literals folds or is
-    /// already hash-consed — a read-only membership probe used to gate
-    /// the inflationary rules.
-    fn node_exists(&self, kids: [ELit; 3]) -> bool {
+    /// Whether the majority of three (canonical) literals folds or was
+    /// hash-consed when `snap` was taken — a read-only membership probe
+    /// used to gate the inflationary rules. Applying actions only adds
+    /// memo entries, and those name classes created after the snapshot.
+    fn node_existed(&self, snap: &ClassSnapshot, kids: [ELit; 3]) -> bool {
         match Self::canon(kids) {
             Err(_) => true,
-            Ok((node, _)) => self.memo.contains_key(&node),
+            Ok((node, _)) => self
+                .memo
+                .get(&node)
+                .is_some_and(|lit| lit.class() < snap.classes()),
         }
     }
 
-    /// One rule-matching sweep: collects the deferred applications of
-    /// every axiom against every current node into `out` (deterministic
-    /// order: class id, then node list order). Matching only reads the
-    /// graph; the actions are applied after the sweep, so rule
-    /// application never observes a half-updated class list.
-    fn matches(&self, scan_cap: usize, out: &mut Matches) {
-        out.clear();
-        for c in 0..self.uf.len() {
-            if self.uf[c].class() != c as u32 {
-                continue;
-            }
-            for &(n, oc) in &self.nodes[c] {
-                self.match_node(ELit::new(c as u32, oc), n, scan_cap, &mut out.actions);
-                out.end_target();
-            }
-        }
-    }
-
-    /// The actions of every rule matching at node `n`, which equals
-    /// `target`, in rule order.
-    fn match_node(&self, target: ELit, n: ENode, scan_cap: usize, actions: &mut Vec<Action>) {
+    /// Pushes the actions of every rule matching at snapshot entry
+    /// `entry`, in rule order, into `window`; true when the window
+    /// filled up before the matches ran out.
+    fn match_node(
+        &self,
+        snap: &ClassSnapshot,
+        entry: usize,
+        scan_cap: usize,
+        window: &mut Window,
+    ) -> bool {
+        let (target, n) = snap.entries[entry];
         let flipped = |m: ENode, flip: bool| {
             if flip {
                 [m[0].not(), m[1].not(), m[2].not()]
@@ -692,8 +1029,8 @@ impl EGraph {
             let child = n[i];
             let x = n[(i + 1) % 3];
             let u = n[(i + 2) % 3];
-            for &(m, moc) in self.nodes[child.class() as usize].iter().take(scan_cap) {
-                let ik = flipped(m, child.is_complemented() ^ moc);
+            for &(mlit, m) in snap.class(child.class()).iter().take(scan_cap) {
+                let ik = flipped(m, child.is_complemented() ^ mlit.is_complemented());
                 // target ≡ M(x, u, M(ik)) — match the nested rules
                 // with both (x,u) and (u,x) in the outer role.
                 for (x, u) in [(x, u), (u, x)] {
@@ -703,36 +1040,44 @@ impl EGraph {
                         let yb = ik[(j + 2) % 3];
                         if yj == u {
                             // Ω.A: M(x,u,M(ya,u,yb)) = M(yb,u,M(ya,u,x))
-                            actions.push(Action::Nest {
+                            if !window.push(Action::Nest {
                                 outer: [yb, u],
                                 inner: [ya, u, x],
                                 target,
-                            });
+                            }) {
+                                return true;
+                            }
                             // M-assoc: … = M(M(x,u,ya),u,yb)
-                            actions.push(Action::Nest {
+                            if !window.push(Action::Nest {
                                 outer: [u, yb],
                                 inner: [x, u, ya],
                                 target,
-                            });
+                            }) {
+                                return true;
+                            }
                         }
                         if yj == u.not() {
                             // Ψ.C: M(x,u,M(ya,u',yb)) = M(x,u,M(ya,x,yb))
-                            actions.push(Action::Nest {
+                            if !window.push(Action::Nest {
                                 outer: [x, u],
                                 inner: [ya, x, yb],
                                 target,
-                            });
+                            }) {
+                                return true;
+                            }
                         }
                         if yj == x {
                             // Ψ.R (one level): M(x,u,M(…x…)) =
                             // M(x,u,M(…u'…))
                             let mut inner = ik;
                             inner[j] = u.not();
-                            actions.push(Action::Nest {
+                            if !window.push(Action::Nest {
                                 outer: [x, u],
                                 inner,
                                 target,
-                            });
+                            }) {
+                                return true;
+                            }
                         }
                     }
                 }
@@ -745,15 +1090,17 @@ impl EGraph {
                 // e-graph — then the rewrite creates sharing instead of
                 // inflation. Each product is probed once and shared by
                 // the two choices it takes part in.
-                let exists = ik.map(|k| self.node_exists([x, u, k]));
+                let exists = ik.map(|k| self.node_existed(snap, [x, u, k]));
                 for j in 0..3 {
-                    if exists[(j + 1) % 3] || exists[(j + 2) % 3] {
-                        actions.push(Action::Dist {
+                    if (exists[(j + 1) % 3] || exists[(j + 2) % 3])
+                        && !window.push(Action::Dist {
                             ab: [x, u],
                             pair: [ik[(j + 1) % 3], ik[(j + 2) % 3]],
                             z: ik[j],
                             target,
-                        });
+                        })
+                    {
+                        return true;
                     }
                 }
             }
@@ -765,12 +1112,12 @@ impl EGraph {
             let a = n[i];
             let b = n[(i + 1) % 3];
             let z = n[(i + 2) % 3];
-            let an = &self.nodes[a.class() as usize];
-            let bn = &self.nodes[b.class() as usize];
-            for &(ma, aoc) in an.iter().take(scan_cap) {
-                let ka = flipped(ma, a.is_complemented() ^ aoc);
-                for &(mb, boc) in bn.iter().take(scan_cap) {
-                    let kb = flipped(mb, b.is_complemented() ^ boc);
+            let an = snap.class(a.class());
+            let bn = snap.class(b.class());
+            for &(alit, ma) in an.iter().take(scan_cap) {
+                let ka = flipped(ma, a.is_complemented() ^ alit.is_complemented());
+                for &(blit, mb) in bn.iter().take(scan_cap) {
+                    let kb = flipped(mb, b.is_complemented() ^ blit.is_complemented());
                     // Find two shared operands x,y with leftovers u,v.
                     for p in 0..3 {
                         for q in 0..3 {
@@ -795,16 +1142,19 @@ impl EGraph {
                             }
                             let u = ka[3 - p - q];
                             let v = kb[(0..3).find(|&t| !used[t]).expect("one left")];
-                            actions.push(Action::Nest {
+                            if !window.push(Action::Nest {
                                 outer: [x, y],
                                 inner: [u, v, z],
                                 target,
-                            });
+                            }) {
+                                return true;
+                            }
                         }
                     }
                 }
             }
         }
+        false
     }
 
     /// Applies one deferred rule application: builds its right-hand
@@ -834,6 +1184,59 @@ impl EGraph {
         }
     }
 
+    /// One rule sweep: matches every axiom against every node of the
+    /// graph as it is now, and applies the actions round-robin across
+    /// targets (see [`Matches`]), reporting each to `applied`. Returns
+    /// why it stopped early: the e-node `cap` or the `deadline`.
+    fn apply_sweep(
+        &mut self,
+        scan_cap: usize,
+        cap: usize,
+        deadline: Option<Instant>,
+        matches: &mut Matches,
+        mut applied: impl FnMut(Action),
+    ) -> Option<StopReason> {
+        let mut k = 0usize;
+        let mut step = |g: &mut EGraph, action: Action| {
+            if g.num_enodes >= cap {
+                return Some(StopReason::NodeLimit);
+            }
+            // Deadline polling is batched: cheap enough to keep the
+            // zero-budget path free of clock reads.
+            if k.is_multiple_of(512) && deadline.is_some_and(|d| Instant::now() >= d) {
+                return Some(StopReason::Deadline);
+            }
+            g.apply(action);
+            applied(action);
+            k += 1;
+            None
+        };
+        matches.start(self);
+        let mut ranks = 0..1;
+        loop {
+            // A window's first round is target order: each target is
+            // matched just before its first action in the window is
+            // applied, so the targets past a cut are never matched.
+            matches.clear();
+            for i in 0..matches.targets.len() {
+                if let Some(action) = matches.fill_target(self, i, scan_cap, ranks.clone()) {
+                    if let Some(reason) = step(self, action) {
+                        return Some(reason);
+                    }
+                }
+            }
+            for action in matches.round_robin() {
+                if let Some(reason) = step(self, action) {
+                    return Some(reason);
+                }
+            }
+            if !matches.advance() {
+                return None;
+            }
+            ranks = ranks.end..ranks.end * 2;
+        }
+    }
+
     /// Saturates under the config's budgets; see the module docs for the
     /// rule set. Deterministic unless `config.time_ms` is set.
     pub fn saturate(&mut self, config: &EsatConfig) -> EsatStats {
@@ -845,35 +1248,20 @@ impl EGraph {
         let mut stopped = StopReason::IterLimit;
         let mut iterations = 0;
         let mut matches = Matches::default();
-        'outer: for _ in 0..config.iters.max(1) {
+        for _ in 0..config.iters.max(1) {
             if self.num_enodes >= cap {
                 stopped = StopReason::NodeLimit;
                 break;
             }
-            self.matches(config.scan_cap.max(1), &mut matches);
             iterations += 1;
             let nodes_before = self.num_enodes;
             let merges_at = self.merges;
-            for (k, action) in matches.round_robin().enumerate() {
-                if self.num_enodes >= cap {
-                    stopped = StopReason::NodeLimit;
-                    self.rebuild();
-                    break 'outer;
-                }
-                // Deadline polling is batched: cheap enough to keep the
-                // zero-budget path free of clock reads.
-                if k % 512 == 0 {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            stopped = StopReason::Deadline;
-                            self.rebuild();
-                            break 'outer;
-                        }
-                    }
-                }
-                self.apply(action);
-            }
+            let cut = self.apply_sweep(config.scan_cap.max(1), cap, deadline, &mut matches, |_| {});
             self.rebuild();
+            if let Some(reason) = cut {
+                stopped = reason;
+                break;
+            }
             if self.num_enodes == nodes_before && self.merges == merges_at {
                 stopped = StopReason::Saturated;
                 break;
@@ -886,28 +1274,6 @@ impl EGraph {
             merges: self.merges - merges_before,
             stopped,
         }
-    }
-
-    /// The set of root classes an extraction choice actually
-    /// materializes: everything reachable from `out_classes` through
-    /// the chosen node of each class (`usize::MAX` = leaf, terminal).
-    fn used_classes(&self, choice: &[Option<usize>], out_classes: &[usize]) -> Option<Vec<bool>> {
-        let mut used = vec![false; choice.len()];
-        let mut stack: Vec<usize> = out_classes.to_vec();
-        while let Some(c) = stack.pop() {
-            if used[c] {
-                continue;
-            }
-            used[c] = true;
-            let idx = choice[c]?;
-            if idx == usize::MAX {
-                continue;
-            }
-            for kid in self.nodes[c][idx].0 {
-                stack.push(self.find_nc(kid).class() as usize);
-            }
-        }
-        Some(used)
     }
 
     /// How many majority gates an extraction choice emits: one per used
@@ -958,19 +1324,16 @@ impl EGraph {
         // extractions of near-converged e-graphs this turns
         // O(rounds · classes) rescans into work proportional to the
         // cone that actually changed.
-        let mut frontier = Frontier::new(self);
+        let view = FlatClasses::new(self);
+        let mut frontier = Frontier::new(&view);
         frontier.run(|c| {
-            if self.uf[c].class() != c as u32 {
-                return false;
-            }
             let mut improved = false;
-            for (idx, &(node, _)) in self.nodes[c].iter().enumerate() {
+            for (idx, kids) in view.of(c).iter().enumerate() {
                 let mut size: u64 = 1;
                 let mut depth: u64 = 0;
                 let mut viable = true;
-                for kid in node {
-                    let kc = self.find_nc(kid).class() as usize;
-                    match best[kc] {
+                for &kc in kids {
+                    match best[kc as usize] {
                         Some((s, d, _)) => {
                             let (ks, kd) = match structural {
                                 Objective::SizeThenDepth => (s, d),
@@ -1017,7 +1380,7 @@ impl EGraph {
                 .iter()
                 .map(|&o| self.find_nc(o).class() as usize)
                 .collect();
-            let mut used = self.used_classes(&choice, &out_classes)?;
+            let mut used = view.used_classes(&choice, &out_classes)?;
             let mut gates = Self::count_gates(&used, &choice);
             for _ in 0..4 {
                 let mut cand = choice.clone();
@@ -1028,18 +1391,18 @@ impl EGraph {
                     }
                 }
                 frontier.run(|c| {
-                    if self.uf[c].class() != c as u32 || self.leaf[c].is_some() {
+                    if self.leaf[c].is_some() {
                         return false;
                     }
                     let Some((tp, _, _)) = best[c] else {
                         return false;
                     };
                     let mut class_best: Option<(u64, usize)> = None;
-                    for (idx, &(node, _)) in self.nodes[c].iter().enumerate() {
+                    for (idx, kids) in view.of(c).iter().enumerate() {
                         let mut cost: u64 = 1;
                         let mut safe = true;
-                        for kid in node {
-                            let kc = self.find_nc(kid).class() as usize;
+                        for &kc in kids {
+                            let kc = kc as usize;
                             match best[kc] {
                                 Some((kp, _, _)) if kp < tp => {
                                     if !used[kc] {
@@ -1071,7 +1434,7 @@ impl EGraph {
                         _ => false,
                     }
                 });
-                let new_used = self.used_classes(&cand, &out_classes)?;
+                let new_used = view.used_classes(&cand, &out_classes)?;
                 let new_gates = Self::count_gates(&new_used, &cand);
                 if new_gates < gates {
                     choice = cand;
@@ -1144,6 +1507,21 @@ impl EGraph {
                 built[lit.class() as usize].map(|s| s.complement_if(lit.is_complemented()))
             })
             .collect()
+    }
+}
+
+/// The canonical form of `lit` under the union-find `uf`, without path
+/// compression.
+fn find_in(uf: &[ELit], lit: ELit) -> ELit {
+    let mut c = lit.class();
+    let mut total = lit.is_complemented();
+    loop {
+        let p = uf[c as usize];
+        if p.class() == c {
+            return ELit::new(c, total);
+        }
+        total ^= p.is_complemented();
+        c = p.class();
     }
 }
 
@@ -1428,7 +1806,7 @@ pub struct EsatPass {
     /// The objective extraction minimizes.
     pub goal: Objective,
     /// Iteration budget (the flow's uniform effort): saturation runs at
-    /// most `effort` rule sweeps (clamped to `1..=8`).
+    /// most `4 × effort` rule sweeps, clamped to `1..=32`.
     pub effort: usize,
     /// Saturation tuning; `None` uses [`EsatConfig::default`] with the
     /// iteration count derived from `effort` and the caps derived from
@@ -1590,10 +1968,35 @@ mod tests {
     use crate::opt::pipeline::Flow;
     use crate::OptContext;
 
-    /// Steps saturation one sweep at a time. At every sweep the flat
-    /// matcher's round-robin walk must yield exactly the reference's
-    /// materialized interleave; the sweep then applies that order under
-    /// the node cap, as `saturate` does.
+    /// Rebuilds `g`, and a copy of it with the reference rebuild, and
+    /// asserts the two identical: union-find, leaves, every class's
+    /// node list in order, the memo, the live e-node count and the
+    /// merge count.
+    fn rebuild_against_reference(g: &mut EGraph) {
+        let mut reference = g.clone();
+        g.rebuild();
+        reference.reference_rebuild();
+        assert_eq!(g.uf, reference.uf, "union-find");
+        assert_eq!(g.num_enodes, reference.num_enodes, "live e-nodes");
+        assert_eq!(g.merges, reference.merges, "merges");
+        for c in 0..g.uf.len() {
+            assert_eq!(*g.nodes[c], *reference.nodes[c], "class {c} node list");
+            assert_eq!(g.leaf[c], reference.leaf[c], "class {c} leaf");
+        }
+        let sorted = |g: &EGraph| {
+            let mut memo: Vec<(ENode, ELit)> = g.memo.iter().map(|(&n, &l)| (n, l)).collect();
+            memo.sort_unstable();
+            memo
+        };
+        assert!(sorted(g) == sorted(&reference), "memo");
+    }
+
+    /// Steps saturation one sweep at a time. At every sweep the windowed
+    /// matcher must apply a prefix of the reference's materialized
+    /// interleave under the node cap, and all of it without a cap (on a
+    /// copy, so every window is matched while earlier ones mutate the
+    /// graph). The sweep then rebuilds in lockstep with the reference
+    /// rebuild.
     fn assert_apply_order_matches_reference(g: &mut EGraph, iters: usize, cap: usize) {
         let scan_cap = EsatConfig::default().scan_cap;
         let mut matches = Matches::default();
@@ -1601,18 +2004,20 @@ mod tests {
             if g.num_enodes() >= cap {
                 break;
             }
-            g.matches(scan_cap, &mut matches);
-            let order: Vec<Action> = matches.round_robin().collect();
             let reference = g.reference_matches(scan_cap);
+            let mut order = Vec::new();
+            g.clone()
+                .apply_sweep(scan_cap, usize::MAX, None, &mut matches, |a| order.push(a));
             assert_eq!(order.len(), reference.len(), "sweep {sweep}");
             assert!(order == reference, "sweep {sweep}: apply order differs");
-            for action in order {
-                if g.num_enodes() >= cap {
-                    break;
-                }
-                g.apply(action);
-            }
-            g.rebuild();
+            let mut applied = Vec::new();
+            let cut = g.apply_sweep(scan_cap, cap, None, &mut matches, |a| applied.push(a));
+            assert!(applied[..] == reference[..applied.len()], "sweep {sweep}");
+            assert!(
+                cut.is_some() || applied.len() == reference.len(),
+                "sweep {sweep}"
+            );
+            rebuild_against_reference(g);
         }
     }
 
@@ -1672,6 +2077,34 @@ mod tests {
             let (mut g, outs) = seed(&mig, &[]);
             assert_apply_order_matches_reference(&mut g, 3, cap);
             assert_extraction_matches_reference(&mut g, &outs, &mig);
+        }
+    }
+
+    #[test]
+    fn rebuild_matches_the_reference_on_variant_seeds() {
+        // Seeding merges whole restructured circuits into the input's
+        // classes, so its rebuilds fold, collide and cascade far more
+        // than a saturation sweep's.
+        for (bench, cap) in [
+            ("count", 6_000),
+            ("my_adder", 6_000),
+            ("cla", 4_000),
+            ("b9", 4_000),
+        ] {
+            let net = mig_benchgen::generate(bench).expect("known benchmark");
+            let mig = Mig::from_network(&net).cleanup();
+            let mut ctx = OptContext::with_jobs(1);
+            let variants = EsatPass::default().variants(&mut ctx.bufs, &mut ctx.rewrite, &mig);
+            let mut g = EGraph::with_inputs(mig.num_inputs());
+            let outs = seed_one(&mut g, &mig);
+            for v in &variants {
+                let vouts = seed_one(&mut g, v);
+                for (&a, &b) in outs.iter().zip(&vouts) {
+                    g.merge(a, b);
+                }
+                rebuild_against_reference(&mut g);
+            }
+            assert_apply_order_matches_reference(&mut g, 3, cap);
         }
     }
 

@@ -1,13 +1,74 @@
-//! Reference implementations of the e-graph's matcher and extraction
-//! choice, kept verbatim from before the flat action buffer and the
-//! dirty-frontier recost. The tests assert that the production code
-//! applies the same actions in the same order and extracts the same
-//! graph.
+//! Reference implementations of the e-graph's matcher, extraction
+//! choice and congruence rebuild, kept verbatim from before the flat
+//! action buffer, the dirty-frontier recost, the flat extraction view
+//! and the merge-free sweep skip. The tests assert that the production
+//! code applies the same actions in the same order, rebuilds to the same
+//! state and extracts the same graph.
+
+use std::collections::HashMap;
 
 use super::{Action, EGraph, ELit, ENode};
 use crate::opt::Objective;
 
 impl EGraph {
+    /// The rebuild as it was before the merge-free sweep skip and the
+    /// fixed hasher: full sweeps over a freshly gathered entry list and
+    /// a SipHash memo, until a sweep performs no merge. The memo it
+    /// leaves is copied into the graph's.
+    pub(super) fn reference_rebuild(&mut self) {
+        let mut memo: HashMap<ENode, ELit> = HashMap::new();
+        loop {
+            // Gather every (literal, node) pair, then rebuild the class
+            // lists and the memo from scratch.
+            let mut entries: Vec<(ELit, ENode)> = Vec::with_capacity(self.num_enodes);
+            for c in 0..self.uf.len() {
+                if self.uf[c].class() != c as u32 {
+                    continue;
+                }
+                for &(n, oc) in self.nodes[c].iter() {
+                    entries.push((ELit::new(c as u32, oc), n));
+                }
+            }
+            for list in &mut self.nodes {
+                list.clear();
+            }
+            memo.clear();
+            self.num_enodes = 0;
+            let mut changed = false;
+            for (lit, node) in entries {
+                let lit = self.find(lit);
+                let kids = [self.find(node[0]), self.find(node[1]), self.find(node[2])];
+                match Self::canon(kids) {
+                    Err(folded) => {
+                        changed |= self.merge(lit, folded);
+                    }
+                    Ok((n, flip)) => {
+                        // `n` computes `lit` up to `flip`.
+                        let nlit = lit.complement_if(flip);
+                        match memo.get(&n) {
+                            Some(&prev) => {
+                                let prev = self.find(prev);
+                                if prev != nlit {
+                                    changed |= self.merge(prev, nlit);
+                                }
+                            }
+                            None => {
+                                memo.insert(n, nlit);
+                                let root = self.find(nlit);
+                                self.nodes[root.class() as usize].push((n, root.is_complemented()));
+                                self.num_enodes += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        self.memo = memo.into_iter().collect();
+    }
+
     /// The matcher as it was before the flat action buffer: per-target
     /// action lists, interleaved round-robin into one materialized list.
     pub(super) fn reference_matches(&self, scan_cap: usize) -> Vec<Action> {
@@ -18,7 +79,7 @@ impl EGraph {
             if self.uf[c].class() != c as u32 {
                 continue;
             }
-            for &(n, oc) in &self.nodes[c] {
+            for &(n, oc) in self.nodes[c].iter() {
                 snapshot.push((ELit::new(c as u32, oc), n));
             }
         }
@@ -232,7 +293,7 @@ impl EGraph {
             if self.uf[c].class() != c as u32 {
                 continue;
             }
-            for &(node, _) in &self.nodes[c] {
+            for &(node, _) in self.nodes[c].iter() {
                 for kid in node {
                     let kc = self.find_nc(kid).class() as usize;
                     parents[kc].push(c as u32);
@@ -316,7 +377,7 @@ impl EGraph {
                 .iter()
                 .map(|&o| self.find_nc(o).class() as usize)
                 .collect();
-            let mut used = self.used_classes(&choice, &out_classes)?;
+            let mut used = self.reference_used_classes(&choice, &out_classes)?;
             let mut gates = Self::count_gates(&used, &choice);
             for _ in 0..4 {
                 let mut cand = choice.clone();
@@ -373,7 +434,7 @@ impl EGraph {
                         break;
                     }
                 }
-                let new_used = self.used_classes(&cand, &out_classes)?;
+                let new_used = self.reference_used_classes(&cand, &out_classes)?;
                 let new_gates = Self::count_gates(&new_used, &cand);
                 if new_gates < gates {
                     choice = cand;
@@ -385,5 +446,41 @@ impl EGraph {
             }
         }
         Some(choice)
+    }
+
+    /// Whether the majority of three (canonical) literals folds or is
+    /// already hash-consed — a read-only membership probe used to gate
+    /// the inflationary rules. The reference matcher runs before any
+    /// action is applied, so it reads the live memo.
+    fn node_exists(&self, kids: [ELit; 3]) -> bool {
+        match Self::canon(kids) {
+            Err(_) => true,
+            Ok((node, _)) => self.memo.contains_key(&node),
+        }
+    }
+
+    /// `used_classes` as it was before the flat extraction view: it
+    /// walks the class lists.
+    fn reference_used_classes(
+        &self,
+        choice: &[Option<usize>],
+        out_classes: &[usize],
+    ) -> Option<Vec<bool>> {
+        let mut used = vec![false; choice.len()];
+        let mut stack: Vec<usize> = out_classes.to_vec();
+        while let Some(c) = stack.pop() {
+            if used[c] {
+                continue;
+            }
+            used[c] = true;
+            let idx = choice[c]?;
+            if idx == usize::MAX {
+                continue;
+            }
+            for kid in self.nodes[c][idx].0 {
+                stack.push(self.find_nc(kid).class() as usize);
+            }
+        }
+        Some(used)
     }
 }

@@ -416,8 +416,12 @@ impl RewriteCache {
     /// cuts — leaves renamed, truth tables rewired for leaf/root
     /// complements — only when it was preserved verbatim (its mapped
     /// fanins resolve to exactly the node the map points at) and every
-    /// translated cut stays well-formed; everything else stays dirty, so
-    /// the next sweep re-enumerates precisely the TFO of the changes.
+    /// translated cut stays well-formed; everything else stays dirty, and
+    /// the next sweep re-enumerates it. This is not exactly the TFO of
+    /// the changes: a node above one that the rebuild merged into an
+    /// equivalent existing node keeps its cuts, which stay sound (every
+    /// leaf keeps its function) but are no longer structural cuts of the
+    /// new graph.
     fn translate(&mut self, old: &Mig, new: &Mig, map: &[Signal]) {
         if self.key != Some((old.rewrite_stamp(), old.num_nodes())) {
             // The cache does not describe `old`: nothing to carry over.
