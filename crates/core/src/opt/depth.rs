@@ -127,8 +127,14 @@ pub(crate) fn optimize_depth_with(
         // Local minimum: Ψ.S kick (paper Fig. 2(b)), then retry once.
         if config.reshape {
             let kicked = substitution_kick(&best, cycle);
-            let mut k = push_up_pass(&kicked, config.allow_area_increase, bufs);
-            bufs.recycle(kicked);
+            let mut k = push_up_pass(
+                kicked.as_ref().unwrap_or(&best),
+                config.allow_area_increase,
+                bufs,
+            );
+            if let Some(kicked) = kicked {
+                bufs.recycle(kicked);
+            }
             k = step(bufs, k, &|m, b| {
                 push_up_pass(m, config.allow_area_increase, b)
             });

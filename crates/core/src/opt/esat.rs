@@ -1945,8 +1945,7 @@ impl Pass for EsatPass {
 
     fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
         let config = self.resolve(&ctx.budget());
-        let mapped_goal = matches!(self.goal, Objective::MappedArea | Objective::MappedDelay);
-        if mapped_goal {
+        if self.goal.is_mapped() {
             if let Some(tech) = ctx.tech.take() {
                 let out =
                     self.run_mapped(&config, &mut ctx.bufs, &mut ctx.rewrite, tech.as_ref(), mig);

@@ -204,6 +204,14 @@ impl Objective {
         }
     }
 
+    /// Whether this objective is scored by technology-mapped cost
+    /// ([`MappedArea`](Objective::MappedArea) or
+    /// [`MappedDelay`](Objective::MappedDelay)). The pass manager
+    /// measures mapped cost only around passes with such an objective.
+    pub fn is_mapped(self) -> bool {
+        matches!(self, Objective::MappedArea | Objective::MappedDelay)
+    }
+
     /// Graph-level cost of `mig` under this objective (the structural
     /// proxy for the mapped objectives — measuring true mapped cost
     /// needs a [`TechModel`], see

@@ -182,20 +182,23 @@ pub struct MappedMetrics {
 /// dependency points the other way: `mig_techmap` depends on `mig_core`
 /// for the graph and the cut enumerator, so the mapper implements this
 /// trait and is *installed into* an [`OptContext`]
-/// ([`OptContext::set_tech`]), giving every pass — current and future —
-/// an honest mapped objective without a crate cycle.
+/// ([`OptContext::set_tech`]), giving passes with a mapped
+/// [`Objective`] an honest mapped cost without a crate cycle.
 pub trait TechModel: std::fmt::Debug {
     /// Model name for reports (typically the cell-library name).
     fn name(&self) -> &str;
 
     /// Measures `mig`'s technology-mapped cost. Must be deterministic
-    /// and read-only — the pass manager calls it freely around passes.
+    /// and read-only: the pass manager calls it only around passes
+    /// whose objective is mapped ([`Objective::is_mapped`]), and those
+    /// passes call it on their iterates, so how often it runs never
+    /// changes a result.
     fn measure(&self, mig: &Mig) -> MappedMetrics;
 }
 
 /// Size/depth/activity of one MIG, captured by the ledger around every
-/// pass execution — plus the mapped cost when the context carries a
-/// [`TechModel`].
+/// pass execution — plus the mapped cost around passes whose objective
+/// is mapped, when the context carries a [`TechModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PassMetrics {
     /// Majority-node count.
@@ -204,15 +207,19 @@ pub struct PassMetrics {
     pub depth: u32,
     /// `Σ p(1−p)` under uniform input probabilities.
     pub activity: f64,
-    /// Technology-mapped cost, measured only when the measuring
-    /// [`OptContext`] has a [`TechModel`] installed (`None` otherwise —
-    /// plain structural runs pay nothing for the mapping layer).
+    /// Technology-mapped cost. The ledger measures it only around a
+    /// pass whose objective is mapped ([`Objective::is_mapped`]: the
+    /// `map_area`/`map_delay` steps, a mapped-goal `esat`), and only
+    /// when the [`OptContext`] has a [`TechModel`] installed; every
+    /// other entry carries `None`, so passes that never read it pay
+    /// nothing for the mapping layer.
     pub mapped: Option<MappedMetrics>,
 }
 
 impl PassMetrics {
     /// Captures the three paper metrics of `mig` (no mapped cost; the
-    /// context's ledger adds it when a technology model is installed).
+    /// context's ledger adds it around mapped-objective passes when a
+    /// technology model is installed).
     pub fn of(mig: &Mig) -> Self {
         PassMetrics {
             size: mig.size(),
@@ -278,11 +285,14 @@ pub struct OptContext {
     ledger: Vec<PassReport>,
     /// Metrics of the most recently measured graph state, keyed by its
     /// mutation stamp, so chained passes do not recompute the O(n)
-    /// activity walk for a graph that was just measured.
-    last_metrics: Option<(u64, PassMetrics)>,
-    /// Optional technology cost model. When installed, ledger metrics
-    /// carry [`PassMetrics::mapped`] and the `map_area` / `map_delay`
-    /// recovery passes become active (they are no-ops without it).
+    /// activity walk for a graph that was just measured. See
+    /// [`metrics_of`](OptContext::metrics_of) for how mapped cost is
+    /// memoized.
+    last_metrics: Option<MetricsMemo>,
+    /// Optional technology cost model. When installed, the ledger
+    /// entries of mapped-objective passes carry [`PassMetrics::mapped`]
+    /// and the `map_area` / `map_delay` recovery passes become active
+    /// (they are no-ops without it).
     pub(crate) tech: Option<Box<dyn TechModel>>,
     /// Resource limits enforced around every pass.
     budget: Budget,
@@ -334,9 +344,12 @@ impl OptContext {
         std::mem::take(&mut self.ledger)
     }
 
-    /// Installs a technology cost model. From here on, ledger metrics
-    /// carry the mapped cost and the `map_area`/`map_delay` passes are
-    /// active. Replaces any previously installed model.
+    /// Installs a technology cost model. From here on, the ledger
+    /// entries of passes with a mapped objective ([`Objective::is_mapped`])
+    /// carry the mapped cost on both sides, and the
+    /// `map_area`/`map_delay` passes are active; every other entry keeps
+    /// `mapped: None`, so structural passes never run the model. Replaces
+    /// any previously installed model.
     pub fn set_tech(&mut self, tech: Box<dyn TechModel>) {
         // Cached metrics lack (or carry a different model's) mapped
         // cost — never serve them for the new model.
@@ -410,22 +423,45 @@ impl OptContext {
         self.levels.take_stats()
     }
 
-    /// Measures `mig`, reusing the previous measurement when the graph
-    /// state (identified by its mutation stamp) has not changed since.
-    fn metrics_of(&mut self, mig: &Mig) -> PassMetrics {
+    /// Measures `mig` for a ledger entry, with its mapped cost when
+    /// `mapped` is set (the entry's own pass has a mapped objective) and
+    /// a model is installed. Reuses the previous measurement when the
+    /// graph state (identified by its mutation stamp) has not changed
+    /// since.
+    ///
+    /// Whether an entry carries mapped cost depends only on its own
+    /// pass's objective, never on what the memo happens to hold: a memo
+    /// without the mapped cost is never served to a mapped pass (the
+    /// model runs, and the structural half is reused), and a memo with
+    /// it is served to a structural pass with `mapped: None`.
+    fn metrics_of(&mut self, mig: &Mig, mapped: bool) -> PassMetrics {
         let stamp = mig.rewrite_stamp();
-        if let Some((s, m)) = self.last_metrics {
-            if s == stamp {
-                return m;
+        let memo = self.last_metrics.filter(|memo| memo.stamp == stamp);
+        if let Some(memo) = memo {
+            if !mapped {
+                return PassMetrics {
+                    mapped: None,
+                    ..memo.metrics
+                };
+            }
+            if memo.mapped {
+                return memo.metrics;
             }
         }
-        let mut m = PassMetrics::of(mig);
-        if let Some(tech) = &self.tech {
+        let mut m = memo.map_or_else(|| PassMetrics::of(mig), |memo| memo.metrics);
+        if mapped {
             // A crashing cost model degrades the measurement to
             // "unmapped", never the process: mapped cost is advisory.
-            m.mapped = catch_unwind(AssertUnwindSafe(|| tech.measure(mig))).ok();
+            m.mapped = self
+                .tech
+                .as_ref()
+                .and_then(|tech| catch_unwind(AssertUnwindSafe(|| tech.measure(mig))).ok());
         }
-        self.last_metrics = Some((stamp, m));
+        self.last_metrics = Some(MetricsMemo {
+            stamp,
+            mapped,
+            metrics: m,
+        });
         m
     }
 
@@ -453,8 +489,13 @@ impl OptContext {
     /// degraded [`PassOutcome`] is ledgered — the caller always gets
     /// back a valid graph no worse than its input, and a flow continues
     /// with its remaining passes.
+    ///
+    /// The mapped cost ([`PassMetrics::mapped`]) is measured on both
+    /// sides only when the pass's objective is mapped
+    /// ([`Objective::is_mapped`]); no other pass reads it.
     pub fn run_pass(&mut self, pass: &dyn Pass, mig: Mig) -> Mig {
-        let before = self.metrics_of(&mig);
+        let mapped = pass.objective().is_mapped();
+        let before = self.metrics_of(&mig, mapped);
         let run_start = *self.run_start.get_or_insert_with(Instant::now);
         if let Some(total) = self.budget.total_ms {
             if run_start.elapsed() >= Duration::from_millis(total) {
@@ -491,7 +532,7 @@ impl OptContext {
                 (out, outcome, note, unchanged && !outcome.degraded())
             }
         };
-        let after = self.metrics_of(&out);
+        let after = self.metrics_of(&out, mapped);
         self.ledger.push(PassReport {
             pass: pass.name().to_string(),
             millis,
@@ -559,6 +600,17 @@ impl OptContext {
         self.bufs.recycle(snapshot);
         (out, PassOutcome::Completed, None)
     }
+}
+
+/// The [`OptContext`] metrics memo: one measured graph state.
+#[derive(Debug, Clone, Copy)]
+struct MetricsMemo {
+    /// Mutation stamp of the measured graph.
+    stamp: u64,
+    /// Whether the mapped cost was asked for (`metrics.mapped` may still
+    /// be `None`: no model installed, or the model panicked).
+    mapped: bool,
+    metrics: PassMetrics,
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1139,6 +1191,8 @@ impl fmt::Display for Flow {
 mod tests {
     use super::*;
     use crate::{optimize_depth, optimize_size, DepthOptConfig, Signal, SizeOptConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn xor_tangle() -> Mig {
         let mut mig = Mig::new("tangle");
@@ -1371,6 +1425,109 @@ mod tests {
             mig.depth()
         );
         assert!(out.size() <= mig.size());
+    }
+
+    /// A cost model that counts its `measure` calls; its "mapped" cost
+    /// is the structural size and depth.
+    #[derive(Debug, Default)]
+    struct CountingModel {
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl TechModel for CountingModel {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn measure(&self, mig: &Mig) -> MappedMetrics {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            MappedMetrics {
+                area: mig.size() as f64,
+                delay: f64::from(mig.depth()),
+                power: 0.0,
+                cells: mig.size(),
+            }
+        }
+    }
+
+    /// A context with a fresh [`CountingModel`] installed, and its
+    /// call counter.
+    fn counting_context() -> (OptContext, Arc<AtomicUsize>) {
+        let model = CountingModel::default();
+        let calls = Arc::clone(&model.calls);
+        let mut ctx = OptContext::with_jobs(1);
+        ctx.set_tech(Box::new(model));
+        (ctx, calls)
+    }
+
+    fn calls(counter: &AtomicUsize) -> usize {
+        counter.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn structural_flows_never_measure_mapped_cost() {
+        // The Table I map flow of the benchmark: no step has a mapped
+        // objective, so an installed model is never run, and the result
+        // is the one of a model-free context.
+        let mig = xor_tangle();
+        let flow = Flow::parse("size; rewrite; depth; activity").unwrap();
+        let (mut ctx, counter) = counting_context();
+        let with_model = flow.run(mig.clone(), 2, &mut ctx);
+        assert_eq!(calls(&counter), 0, "no pass reads the mapped cost");
+        for r in ctx.ledger() {
+            assert!(r.before.mapped.is_none() && r.after.mapped.is_none());
+        }
+        let without = flow.run(mig, 2, &mut OptContext::with_jobs(1));
+        assert!(with_model.same_structure(&without));
+    }
+
+    #[test]
+    fn mapped_cost_rides_only_on_mapped_passes() {
+        let mig = xor_tangle();
+        let (mut ctx, counter) = counting_context();
+        let out = Flow::parse("size; map_area*")
+            .unwrap()
+            .run(mig.clone(), 1, &mut ctx);
+        assert!(out.equiv(&mig, 4));
+        let ledger = ctx.ledger();
+        assert_eq!(ledger[0].pass, "size");
+        assert!(ledger[0].before.mapped.is_none() && ledger[0].after.mapped.is_none());
+        assert!(ledger.len() >= 2);
+        for r in &ledger[1..] {
+            assert_eq!(r.pass, "map_area");
+            let (b, a) = (r.before.mapped.unwrap(), r.after.mapped.unwrap());
+            assert_eq!(b.cells, r.before.size);
+            assert_eq!(a.cells, r.after.size);
+        }
+        assert!(calls(&counter) > 0);
+    }
+
+    #[test]
+    fn metrics_memo_never_serves_a_structural_entry_to_a_mapped_pass() {
+        let mig = xor_tangle();
+        let (mut ctx, counter) = counting_context();
+        let map_area = PassKind::MapArea.build(1);
+        let size = PassKind::Size.build(1);
+        // `size` leaves an unmapped memo for its result's stamp; the
+        // mapped pass measuring that same graph must run the model.
+        let sized = ctx.run_pass(&*size, mig);
+        assert_eq!(calls(&counter), 0);
+        let expected = PassMetrics::of(&sized).size;
+        let mapped = ctx.run_pass(&*map_area, sized);
+        let entry = ctx.ledger().last().unwrap();
+        assert_eq!(
+            entry.before.mapped.map(|m| m.cells),
+            Some(expected),
+            "a cached `None` was served to a mapped pass"
+        );
+        assert!(entry.after.mapped.is_some());
+        // The other way round: a mapped memo is served to a structural
+        // pass with its mapped cost stripped, without re-measuring.
+        let before = calls(&counter);
+        ctx.run_pass(&*size, mapped);
+        let entry = ctx.ledger().last().unwrap();
+        assert!(entry.before.mapped.is_none() && entry.after.mapped.is_none());
+        assert_eq!(calls(&counter), before);
     }
 
     #[test]

@@ -81,9 +81,14 @@ pub(crate) fn optimize_size_with(mig: &Mig, config: &SizeOptConfig, bufs: &mut O
         }
         bufs.recycle(cur);
         // Stuck in a local minimum: optionally kick with Ψ.S, then give
-        // elimination one more chance before concluding.
+        // elimination one more chance before concluding. A kick that
+        // leaves the reachable graph as it was would replay the cycle
+        // just rejected (every phase rebuilds only reachable nodes), so
+        // it ends the search instead.
         if config.use_substitution {
-            let kicked = substitution_kick(&best, cycle);
+            let Some(kicked) = substitution_kick(&best, cycle) else {
+                break;
+            };
             let k1 = eliminate_pass(&kicked, bufs);
             bufs.recycle(kicked);
             let k2 = reshape_pass(&k1, config.cone_limit, bufs);
@@ -244,45 +249,50 @@ pub(crate) fn reshape_pass(mig: &Mig, cone_limit: usize, bufs: &mut OptBuffers) 
 /// `Ψ.S` kick: rewrites the deepest output cone through a substituted
 /// variable pair, temporarily inflating the MIG so that a following
 /// eliminate pass can find new reductions (paper Fig. 2(b)).
-pub(crate) fn substitution_kick(mig: &Mig, salt: usize) -> Mig {
-    let mut out = mig.clone();
-    if out.num_outputs() == 0 || out.num_inputs() < 2 {
-        return out;
+///
+/// Returns `None` when the kick cannot change the reachable graph: no
+/// output, fewer than two inputs, a deepest cone that is empty or over
+/// 200 gates, fewer than two inputs among its fanins, or a `Ψ.S` that
+/// folds back to the same root.
+pub(crate) fn substitution_kick(mig: &Mig, salt: usize) -> Option<Mig> {
+    if mig.num_outputs() == 0 || mig.num_inputs() < 2 {
+        return None;
     }
     // Pick the deepest output, then the two most frequent inputs in its
     // (bounded) cone as the substitution pair.
-    let Some(oi) = out
+    let oi = mig
         .outputs()
         .iter()
         .enumerate()
-        .max_by_key(|(_, (_, s))| out.level_of_signal(*s))
-        .map(|(i, _)| i)
-    else {
-        return out;
-    };
-    let root = out.outputs()[oi].1;
-    let cone = out.cone_gates(root);
+        .max_by_key(|(_, (_, s))| mig.level_of_signal(*s))
+        .map(|(i, _)| i)?;
+    let root = mig.outputs()[oi].1;
+    let cone = mig.cone_gates(root);
     if cone.is_empty() || cone.len() > 200 {
-        return out;
+        return None;
     }
-    let mut freq = vec![0usize; out.num_inputs()];
+    let mut freq = vec![0usize; mig.num_inputs()];
     for &n in &cone {
-        for ch in out.children(n) {
-            if out.is_input(ch.node()) {
+        for ch in mig.children(n) {
+            if mig.is_input(ch.node()) {
                 freq[ch.node().index() - 1] += 1;
             }
         }
     }
-    let mut order: Vec<usize> = (0..out.num_inputs()).collect();
+    let mut order: Vec<usize> = (0..mig.num_inputs()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(freq[i]));
     if freq[order[1]] == 0 {
-        return out;
+        return None;
     }
+    let mut out = mig.clone();
     let v = out.input(order[salt % 2]);
     let u = out.input(order[1 - salt % 2]);
     let new_root = out.psi_s(root, u, v);
+    if new_root == root {
+        return None;
+    }
     out.set_output(oi, new_root);
-    out
+    Some(out)
 }
 
 #[cfg(test)]
@@ -383,7 +393,7 @@ mod tests {
         let x2 = mig.xor(x1, c);
         mig.add_output("f", x2);
         assert_eq!(mig.size(), 6);
-        let kicked = substitution_kick(&mig, 0);
+        let kicked = substitution_kick(&mig, 0).expect("the XOR3 cone shares its inputs");
         assert!(kicked.equiv(&mig, 4));
         // On 3-input XOR the Ψ.S identity collapses straight to the
         // paper's optimal 3-node form (Fig. 2(b)) through the trivial

@@ -49,13 +49,17 @@
 //! {"type": "error", "id": 2, "exit_code": 3, "message": "..."}
 //! ```
 //!
+//! A request line may be at most [`MAX_REQUEST_LINE`] bytes, newline
+//! included. A longer one gets one `error` line (`"id": null`, exit
+//! code 2) and the server closes that connection.
+//!
 //! `exit_code` mirrors the CLI contract: 0 ok, 2 malformed request,
 //! 3 input error, 4 equivalence failure, 5 degraded (budget/rollback
 //! semantics per job — a panicking or over-budget job degrades without
 //! taking the server down). See `DESIGN.md` §15 for the full spec.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -84,6 +88,14 @@ pub mod exit_code {
     /// Completed and verified, but one or more passes degraded.
     pub const DEGRADED: i64 = 5;
 }
+
+/// Longest request line the server reads, newline included: 64 MiB.
+/// That is six times the largest request the repository sends, the
+/// JSON-escaped Verilog of `alu_400k` (10.4 MB), and 2.5 times the
+/// 26 MB Verilog of `mul_1m`. A longer line is answered with a usage
+/// error and the connection is closed, so one connection never buffers
+/// more than this.
+pub const MAX_REQUEST_LINE: usize = 64 << 20;
 
 /// Server configuration (the `mighty serve` flags).
 #[derive(Debug, Clone)]
@@ -415,16 +427,43 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             }
         });
 
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
+    let mut reader = BufReader::new(stream);
+    loop {
+        let mut buf = Vec::new();
+        match reader
+            .by_ref()
+            .take(MAX_REQUEST_LINE as u64)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() == MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            shared.send_line(
+                &tx,
+                error_line(
+                    "null",
+                    exit_code::USAGE,
+                    &format!(
+                        "request line longer than {MAX_REQUEST_LINE} bytes; closing the connection"
+                    ),
+                ),
+            );
+            break;
+        }
+        // Like `BufRead::lines`: invalid UTF-8 ends the connection, and
+        // the terminator (`\n` or `\r\n`) is not part of the line.
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
+        let line = match line.strip_suffix('\n') {
+            Some(l) => l.strip_suffix('\r').unwrap_or(l),
+            None => line,
         };
         if line.trim().is_empty() {
             continue;
         }
-        match handle_request(&line, &tx, shared) {
+        match handle_request(line, &tx, shared) {
             RequestFate::Continue => {}
             RequestFate::CloseConnection => break,
         }

@@ -2,7 +2,8 @@
 //! and of the `bench` module, kept in one module so every test keeps its
 //! `tests::` path.
 
-use mig_core::Flow;
+use mig_core::opt::pipeline::CONVERGE_CAP;
+use mig_core::{Flow, MappedMetrics, Objective, PassReport};
 
 use crate::bench::*;
 use crate::*;
@@ -373,4 +374,54 @@ fn table_mentions_every_benchmark() {
     assert!(table.contains("my_adder"));
     assert!(table.contains("count"));
     assert!(table.contains("PASS"));
+}
+
+#[test]
+fn mapped_recovery_converges_on_mapped_cost_and_verifies() {
+    // `map_area*` / `map_delay*` after a structural prefix: both
+    // verdicts pass, the `*` marker stops at the first run that does
+    // not improve the mapped cost, and the final mapping is no worse
+    // than mapping the prefix's result.
+    let map = |net: &Network, script: &str| {
+        let flow = Flow::parse(script).expect(script);
+        run_map_with(net, "cmos22", Some(&flow), 1, 16, 1, &RunOptions::default())
+            .expect("cmos22 maps")
+    };
+    for circuit in ["alu4", "C1355"] {
+        let net = load_input(circuit).unwrap();
+        for (prefix, step, goal) in [
+            ("size; rewrite", "map_area", Objective::MappedArea),
+            ("depth", "map_delay", Objective::MappedDelay),
+        ] {
+            let o = map(&net, &format!("{prefix}; {step}*"));
+            assert!(o.mig_equiv && o.map_equiv, "{circuit} {step}*");
+            let runs: Vec<&PassReport> = o.stages.iter().filter(|s| s.pass == step).collect();
+            let cost = |m: Option<MappedMetrics>| {
+                goal.mapped_cost(&m.expect("a mapped pass's ledger entry carries mapped cost"))
+            };
+            let (last, improving) = runs.split_last().expect("the step ran");
+            for r in improving {
+                assert!(
+                    cost(r.after.mapped) < cost(r.before.mapped),
+                    "{circuit} {step}"
+                );
+            }
+            if runs.len() < CONVERGE_CAP {
+                assert!(
+                    cost(last.after.mapped) >= cost(last.before.mapped),
+                    "{circuit} {step}* must stop at the first non-improving run"
+                );
+            }
+            let plain = map(&net, prefix);
+            assert_eq!(
+                runs[0].before.mapped,
+                Some(plain.mapped),
+                "{circuit} {step}"
+            );
+            assert!(
+                goal.mapped_cost(&o.mapped) <= goal.mapped_cost(&plain.mapped),
+                "{circuit} {step}* mapped worse than its prefix"
+            );
+        }
+    }
 }

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use mig_core::Flow;
 use mig_mighty::json::Json;
-use mig_mighty::serve::{LoadConfig, ServeConfig, Server};
+use mig_mighty::serve::{LoadConfig, ServeConfig, Server, MAX_REQUEST_LINE};
 use mig_mighty::{run_flow_with, RunOptions};
 use mig_netlist::write_verilog;
 
@@ -200,6 +200,46 @@ fn malformed_requests_get_errors_and_the_connection_survives() {
     let v = client.recv_final();
     assert_eq!(v.get_str("type"), Some("result"));
     assert_eq!(v.get_num("exit_code"), Some(0.0));
+    server.shutdown();
+    assert!(server.wait());
+}
+
+#[test]
+fn oversized_request_line_is_rejected_and_the_server_survives() {
+    let server = start(1, 0);
+    let addr = server.addr();
+    let mut client = Client::connect(addr);
+    // A server that waits for the newline would hang this test.
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("set timeout");
+    // Exactly the cap, with no newline in it: the line cannot end
+    // within the limit. Written in chunks so the client never holds it.
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = MAX_REQUEST_LINE;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        client.writer.write_all(&chunk[..n]).expect("send");
+        left -= n;
+    }
+    client.writer.flush().expect("flush");
+    let v = client.recv();
+    assert_eq!(v.get_str("type"), Some("error"));
+    assert_eq!(v.get_num("exit_code"), Some(2.0));
+    let message = v.get_str("message").expect("message");
+    assert!(message.contains(&MAX_REQUEST_LINE.to_string()), "{message}");
+    let mut rest = String::new();
+    assert_eq!(
+        client.reader.read_line(&mut rest).expect("read"),
+        0,
+        "the connection closes after the error"
+    );
+    // A new connection is served as before.
+    let mut fresh = Client::connect(addr);
+    fresh.send("{\"op\": \"ping\"}");
+    assert_eq!(fresh.recv().get_str("type"), Some("pong"));
     server.shutdown();
     assert!(server.wait());
 }
