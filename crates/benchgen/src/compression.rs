@@ -35,7 +35,7 @@ pub fn compression_circuit(units: usize) -> Network {
     let mut matches = Vec::with_capacity(units);
     for u in 0..units {
         let mut bits: Vec<GateId> = (0..PATTERN_BITS)
-            .map(|i| net.add_gate(mig_netlist::GateKind::Xnor, vec![window[u + i], pattern[i]]))
+            .map(|i| net.add_gate(mig_netlist::GateKind::Xnor, &[window[u + i], pattern[i]]))
             .collect();
         while bits.len() > 1 {
             let mut next = Vec::with_capacity(bits.len().div_ceil(2));

@@ -63,21 +63,21 @@ pub fn layered_random(name: &str, p: &RandomLogicParams) -> Network {
             let b = pick(&mut rng);
             let kind_roll: f64 = rng.next_f64();
             let id = if kind_roll < 0.32 {
-                net.add_gate(GateKind::And, vec![a, b])
+                net.add_gate(GateKind::And, &[a, b])
             } else if kind_roll < 0.58 {
-                net.add_gate(GateKind::Or, vec![a, b])
+                net.add_gate(GateKind::Or, &[a, b])
             } else if kind_roll < 0.72 {
-                net.add_gate(GateKind::Xor, vec![a, b])
+                net.add_gate(GateKind::Xor, &[a, b])
             } else if kind_roll < 0.80 {
-                net.add_gate(GateKind::Nand, vec![a, b])
+                net.add_gate(GateKind::Nand, &[a, b])
             } else if kind_roll < 0.88 {
-                net.add_gate(GateKind::Nor, vec![a, b])
+                net.add_gate(GateKind::Nor, &[a, b])
             } else if kind_roll < 0.94 {
                 let c = pick(&mut rng);
-                net.add_gate(GateKind::Mux, vec![a, b, c])
+                net.add_gate(GateKind::Mux, &[a, b, c])
             } else {
                 let c = pick(&mut rng);
-                net.add_gate(GateKind::Maj, vec![a, b, c])
+                net.add_gate(GateKind::Maj, &[a, b, c])
             };
             cur.push(id);
         }

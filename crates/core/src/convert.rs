@@ -7,7 +7,6 @@
 
 use crate::{Mig, Signal};
 use mig_netlist::{GateId, GateKind, Network};
-use std::collections::HashMap;
 
 impl Mig {
     /// Imports a gate-level network, transposing every Boolean primitive
@@ -27,53 +26,38 @@ impl Mig {
             net.num_inputs(),
             net.num_logic_gates() * 2,
         );
-        let mut map: HashMap<GateId, Signal> = HashMap::with_capacity(net.num_gates());
+        // Signal of every gate, by gate index.
+        let mut map: Vec<Signal> = vec![Signal::FALSE; net.num_gates()];
         for (i, &id) in net.inputs().iter().enumerate() {
-            let s = mig.add_input(net.input_name(i).to_string());
-            map.insert(id, s);
+            map[id.index()] = mig.add_input(net.input_name(i).to_string());
         }
         for (id, gate) in net.iter() {
-            if gate.kind() == GateKind::Input {
-                continue;
-            }
-            let f: Vec<Signal> = gate.fanins().iter().map(|g| map[g]).collect();
+            let fanins = gate.fanins();
+            let f = |i: usize| map[fanins[i].index()];
+            let fold = |mig: &mut Mig, op: fn(&mut Mig, Signal, Signal) -> Signal| {
+                fanins[1..]
+                    .iter()
+                    .fold(f(0), |acc, x| op(mig, acc, map[x.index()]))
+            };
             let s = match gate.kind() {
+                GateKind::Input => continue,
                 GateKind::Const0 => Signal::FALSE,
                 GateKind::Const1 => Signal::TRUE,
-                GateKind::Input => unreachable!("filtered above"),
-                GateKind::Buf => f[0],
-                GateKind::Not => !f[0],
-                GateKind::And => {
-                    let mut acc = f[0];
-                    for &x in &f[1..] {
-                        acc = mig.and(acc, x);
-                    }
-                    acc
-                }
-                GateKind::Or => {
-                    let mut acc = f[0];
-                    for &x in &f[1..] {
-                        acc = mig.or(acc, x);
-                    }
-                    acc
-                }
-                GateKind::Xor => {
-                    let mut acc = f[0];
-                    for &x in &f[1..] {
-                        acc = mig.xor(acc, x);
-                    }
-                    acc
-                }
-                GateKind::Xnor => !mig.xor(f[0], f[1]),
-                GateKind::Nand => !mig.and(f[0], f[1]),
-                GateKind::Nor => !mig.or(f[0], f[1]),
-                GateKind::Mux => mig.mux(f[0], f[1], f[2]),
-                GateKind::Maj => mig.maj(f[0], f[1], f[2]),
+                GateKind::Buf => f(0),
+                GateKind::Not => !f(0),
+                GateKind::And => fold(&mut mig, Mig::and),
+                GateKind::Or => fold(&mut mig, Mig::or),
+                GateKind::Xor => fold(&mut mig, Mig::xor),
+                GateKind::Xnor => !mig.xor(f(0), f(1)),
+                GateKind::Nand => !mig.and(f(0), f(1)),
+                GateKind::Nor => !mig.or(f(0), f(1)),
+                GateKind::Mux => mig.mux(f(0), f(1), f(2)),
+                GateKind::Maj => mig.maj(f(0), f(1), f(2)),
             };
-            map.insert(id, s);
+            map[id.index()] = s;
         }
         for (name, gate) in net.outputs() {
-            mig.add_output(name.clone(), map[gate]);
+            mig.add_output(name.clone(), map[gate.index()]);
         }
         mig
     }
@@ -84,7 +68,8 @@ impl Mig {
     pub fn to_network(&self) -> Network {
         let mut net = Network::new(self.name().to_string());
         let mut node_map: Vec<Option<GateId>> = vec![None; self.num_nodes()];
-        let mut inverters: HashMap<GateId, GateId> = HashMap::new();
+        // The NOT gate over each gate, by gate index, created on first use.
+        let mut inverters: Vec<Option<GateId>> = Vec::new();
         for i in 0..self.num_inputs() {
             node_map[i + 1] = Some(net.add_input(self.input_name(i).to_string()));
         }
@@ -93,7 +78,7 @@ impl Mig {
         fn resolve(
             net: &mut Network,
             node_map: &[Option<GateId>],
-            inverters: &mut HashMap<GateId, GateId>,
+            inverters: &mut Vec<Option<GateId>>,
             s: Signal,
         ) -> GateId {
             let base = if s.is_constant() {
@@ -102,13 +87,13 @@ impl Mig {
             } else {
                 node_map[s.node().index()].expect("children precede parents")
             };
-            if s.is_complemented() {
-                *inverters
-                    .entry(base)
-                    .or_insert_with(|| net.add_gate(GateKind::Not, vec![base]))
-            } else {
-                base
+            if !s.is_complemented() {
+                return base;
             }
+            if inverters.len() <= base.index() {
+                inverters.resize(net.num_gates(), None);
+            }
+            *inverters[base.index()].get_or_insert_with(|| net.not(base))
         }
 
         for node in self.gate_ids() {
@@ -117,23 +102,27 @@ impl Mig {
             }
             let [a, b, c] = self.children(node);
             // Render AND/OR shapes with constant fanins as 2-input gates.
-            let consts: Vec<Signal> = [a, b, c].into_iter().filter(|s| s.is_constant()).collect();
-            let id = if consts.len() == 1 {
+            let consts = [a, b, c].iter().filter(|s| s.is_constant()).count();
+            let id = if consts == 1 {
                 let mut others = [a, b, c].into_iter().filter(|s| !s.is_constant());
                 let x = others.next().expect("two non-constant fanins");
                 let y = others.next().expect("two non-constant fanins");
+                let constant = [a, b, c]
+                    .into_iter()
+                    .find(|s| s.is_constant())
+                    .expect("one constant fanin");
                 let gx = resolve(&mut net, &node_map, &mut inverters, x);
                 let gy = resolve(&mut net, &node_map, &mut inverters, y);
-                if consts[0] == Signal::FALSE {
-                    net.add_gate(GateKind::And, vec![gx, gy])
+                if constant == Signal::FALSE {
+                    net.and(gx, gy)
                 } else {
-                    net.add_gate(GateKind::Or, vec![gx, gy])
+                    net.or(gx, gy)
                 }
             } else {
                 let ga = resolve(&mut net, &node_map, &mut inverters, a);
                 let gb = resolve(&mut net, &node_map, &mut inverters, b);
                 let gc = resolve(&mut net, &node_map, &mut inverters, c);
-                net.add_gate(GateKind::Maj, vec![ga, gb, gc])
+                net.maj(ga, gb, gc)
             };
             node_map[node.index()] = Some(id);
         }
@@ -155,6 +144,32 @@ mod tests {
             mig_sim::output_truth_tables(net),
             mig_sim::output_truth_tables(&mig.to_network())
         );
+    }
+
+    #[test]
+    fn deep_chains_convert_on_a_small_stack() {
+        // No walk between the two representations recurses: a 100 000-gate
+        // chain converts both ways, and is hashed and swept for
+        // reachability, on a 256 KiB stack.
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut net = Network::new("chain");
+                let a = net.add_input("a");
+                let b = net.add_input("b");
+                let mut x = a;
+                for _ in 0..100_000 {
+                    let g = net.and(x, b);
+                    x = net.not(g);
+                }
+                net.set_output("y", x);
+                assert_eq!(net.content_hash(), net.sweep().content_hash());
+                let back = Mig::from_network(&net).to_network();
+                assert!(mig_sim::equivalent(&net, &back, 1));
+            })
+            .expect("thread spawns")
+            .join()
+            .expect("conversion returns");
     }
 
     #[test]

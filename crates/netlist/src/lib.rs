@@ -18,9 +18,9 @@
 //! let a = net.add_input("a");
 //! let b = net.add_input("b");
 //! let cin = net.add_input("cin");
-//! let sum = net.add_gate(GateKind::Xor, vec![a, b]);
-//! let sum = net.add_gate(GateKind::Xor, vec![sum, cin]);
-//! let carry = net.add_gate(GateKind::Maj, vec![a, b, cin]);
+//! let sum = net.add_gate(GateKind::Xor, &[a, b]);
+//! let sum = net.add_gate(GateKind::Xor, &[sum, cin]);
+//! let carry = net.add_gate(GateKind::Maj, &[a, b, cin]);
 //! net.set_output("sum", sum);
 //! net.set_output("cout", carry);
 //! assert_eq!(net.num_inputs(), 3);

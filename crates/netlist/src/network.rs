@@ -127,22 +127,26 @@ impl GateKind {
     }
 }
 
-/// A single gate: a primitive and its fanin list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Gate {
+/// A read-only view of one gate: its primitive and its fanin list.
+///
+/// [`Network::gate`] and [`Network::iter`] hand these out by value. The
+/// fanin slice borrows the network's one flat fanin array, so a view
+/// costs two words and no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gate<'a> {
     kind: GateKind,
-    fanins: Vec<GateId>,
+    fanins: &'a [GateId],
 }
 
-impl Gate {
+impl<'a> Gate<'a> {
     /// The gate's primitive.
-    pub fn kind(&self) -> GateKind {
+    pub fn kind(self) -> GateKind {
         self.kind
     }
 
     /// The gate's fanin list.
-    pub fn fanins(&self) -> &[GateId] {
-        &self.fanins
+    pub fn fanins(self) -> &'a [GateId] {
+        self.fanins
     }
 }
 
@@ -152,13 +156,22 @@ impl Gate {
 /// named primary outputs delimit the circuit; everything else is internal.
 /// Fanins must always refer to already-added gates, so the arena order is a
 /// valid topological order.
+///
+/// Storage is compressed sparse row: one kind per gate, and the fanins of
+/// every gate back to back in one array, gate `g`'s at
+/// `fanins[fanin_start[g]..fanin_start[g + 1]]`.
 #[derive(Debug, Clone)]
 pub struct Network {
     name: String,
-    gates: Vec<Gate>,
+    kinds: Vec<GateKind>,
+    /// `kinds.len() + 1` offsets into `fanins`; starts with 0.
+    fanin_start: Vec<u32>,
+    fanins: Vec<GateId>,
     inputs: Vec<GateId>,
     input_names: Vec<String>,
     outputs: Vec<(String, GateId)>,
+    /// The first `Const0` and `Const1` gates, if any.
+    constants: [Option<GateId>; 2],
 }
 
 impl Network {
@@ -166,10 +179,13 @@ impl Network {
     pub fn new(name: impl Into<String>) -> Self {
         Network {
             name: name.into(),
-            gates: Vec::new(),
+            kinds: Vec::new(),
+            fanin_start: vec![0],
+            fanins: Vec::new(),
             inputs: Vec::new(),
             input_names: Vec::new(),
             outputs: Vec::new(),
+            constants: [None; 2],
         }
     }
 
@@ -183,28 +199,35 @@ impl Network {
         self.name = name.into();
     }
 
+    fn push(&mut self, kind: GateKind, fanins: &[GateId]) -> GateId {
+        let id = GateId::from_index(self.kinds.len());
+        self.kinds.push(kind);
+        self.fanins.extend_from_slice(fanins);
+        let end = u32::try_from(self.fanins.len()).expect("network limited to 2^32 fanins");
+        self.fanin_start.push(end);
+        id
+    }
+
     /// Adds a named primary input and returns its gate id.
     pub fn add_input(&mut self, name: impl Into<String>) -> GateId {
-        let id = GateId::from_index(self.gates.len());
-        self.gates.push(Gate {
-            kind: GateKind::Input,
-            fanins: vec![],
-        });
+        let id = self.push(GateKind::Input, &[]);
         self.inputs.push(id);
         self.input_names.push(name.into());
         id
     }
 
-    /// Adds a gate computing `kind` over `fanins`.
+    /// Adds a gate computing `kind` over `fanins` and returns its id,
+    /// which is the next arena index. The fanins are copied into the
+    /// network's flat fanin array, so callers may pass a stack array.
     ///
     /// # Panics
     ///
     /// Panics if a fanin id is out of range, or the fanin count does not
-    /// match the kind's arity (variadic kinds require at least two fanins).
-    pub fn add_gate(&mut self, kind: GateKind, fanins: Vec<GateId>) -> GateId {
-        let id = GateId::from_index(self.gates.len());
-        for &f in &fanins {
-            assert!(f.index() < self.gates.len(), "fanin {f} does not exist yet");
+    /// match the kind's arity (variadic kinds require at least two fanins),
+    /// or `kind` is [`GateKind::Input`] (use [`Network::add_input`]).
+    pub fn add_gate(&mut self, kind: GateKind, fanins: &[GateId]) -> GateId {
+        for &f in fanins {
+            assert!(f.index() < self.kinds.len(), "fanin {f} does not exist yet");
         }
         match kind.arity() {
             Some(n) => assert_eq!(fanins.len(), n, "{kind:?} expects {n} fanins"),
@@ -214,70 +237,76 @@ impl Network {
             !matches!(kind, GateKind::Input),
             "use add_input for primary inputs"
         );
-        self.gates.push(Gate { kind, fanins });
+        let id = self.push(kind, fanins);
+        if let GateKind::Const0 | GateKind::Const1 = kind {
+            self.constants[(kind == GateKind::Const1) as usize].get_or_insert(id);
+        }
         id
     }
 
-    /// Returns (adding if needed) the constant gate of the given value.
+    /// Returns (adding if needed) the constant gate of the given value:
+    /// the first gate of that constant kind in the arena.
     pub fn constant(&mut self, value: bool) -> GateId {
-        let kind = if value {
-            GateKind::Const1
-        } else {
-            GateKind::Const0
-        };
-        // Constants are rare; a linear scan keeps the structure simple.
-        for (i, g) in self.gates.iter().enumerate() {
-            if g.kind == kind {
-                return GateId::from_index(i);
-            }
+        match self.constants[value as usize] {
+            Some(id) => id,
+            None if value => self.add_gate(GateKind::Const1, &[]),
+            None => self.add_gate(GateKind::Const0, &[]),
         }
-        self.add_gate(kind, vec![])
     }
 
     /// Convenience: adds a NOT gate.
     pub fn not(&mut self, a: GateId) -> GateId {
-        self.add_gate(GateKind::Not, vec![a])
+        self.add_gate(GateKind::Not, &[a])
     }
 
     /// Convenience: adds an AND gate.
     pub fn and(&mut self, a: GateId, b: GateId) -> GateId {
-        self.add_gate(GateKind::And, vec![a, b])
+        self.add_gate(GateKind::And, &[a, b])
     }
 
     /// Convenience: adds an OR gate.
     pub fn or(&mut self, a: GateId, b: GateId) -> GateId {
-        self.add_gate(GateKind::Or, vec![a, b])
+        self.add_gate(GateKind::Or, &[a, b])
     }
 
     /// Convenience: adds an XOR gate.
     pub fn xor(&mut self, a: GateId, b: GateId) -> GateId {
-        self.add_gate(GateKind::Xor, vec![a, b])
+        self.add_gate(GateKind::Xor, &[a, b])
     }
 
     /// Convenience: adds a MAJ gate.
     pub fn maj(&mut self, a: GateId, b: GateId, c: GateId) -> GateId {
-        self.add_gate(GateKind::Maj, vec![a, b, c])
+        self.add_gate(GateKind::Maj, &[a, b, c])
     }
 
     /// Convenience: adds a MUX gate (`sel ? t : e`).
     pub fn mux(&mut self, sel: GateId, t: GateId, e: GateId) -> GateId {
-        self.add_gate(GateKind::Mux, vec![sel, t, e])
+        self.add_gate(GateKind::Mux, &[sel, t, e])
     }
 
     /// Declares `gate` as the primary output called `name`.
     pub fn set_output(&mut self, name: impl Into<String>, gate: GateId) {
-        assert!(gate.index() < self.gates.len(), "output gate must exist");
+        assert!(gate.index() < self.kinds.len(), "output gate must exist");
         self.outputs.push((name.into(), gate));
     }
 
     /// The gate with the given id.
-    pub fn gate(&self, id: GateId) -> &Gate {
-        &self.gates[id.index()]
+    pub fn gate(&self, id: GateId) -> Gate<'_> {
+        let i = id.index();
+        Gate {
+            kind: self.kinds[i],
+            fanins: &self.fanins[self.fanin_start[i] as usize..self.fanin_start[i + 1] as usize],
+        }
     }
 
     /// Total number of gates in the arena (including inputs and constants).
     pub fn num_gates(&self) -> usize {
-        self.gates.len()
+        self.kinds.len()
+    }
+
+    /// Total number of fanin references over all gates.
+    pub(crate) fn num_fanins(&self) -> usize {
+        self.fanins.len()
     }
 
     /// Number of primary inputs.
@@ -311,11 +340,15 @@ impl Network {
     }
 
     /// Iterates over all `(id, gate)` pairs in arena (= topological) order.
-    pub fn iter(&self) -> impl Iterator<Item = (GateId, &Gate)> {
-        self.gates
+    pub fn iter(&self) -> impl Iterator<Item = (GateId, Gate<'_>)> {
+        self.kinds
             .iter()
+            .zip(self.fanin_start.windows(2))
             .enumerate()
-            .map(|(i, g)| (GateId::from_index(i), g))
+            .map(|(i, (&kind, w))| {
+                let fanins = &self.fanins[w[0] as usize..w[1] as usize];
+                (GateId(i as u32), Gate { kind, fanins })
+            })
     }
 
     /// Evaluates all outputs under a boolean input assignment.
@@ -325,13 +358,15 @@ impl Network {
     /// Panics if `assignment.len() != num_inputs()`.
     pub fn eval(&self, assignment: &[bool]) -> Vec<bool> {
         assert_eq!(assignment.len(), self.num_inputs());
-        let mut values = vec![false; self.gates.len()];
+        let mut values = vec![false; self.num_gates()];
         let mut input_iter = assignment.iter();
-        for (i, g) in self.gates.iter().enumerate() {
-            values[i] = match g.kind {
+        let mut vals = Vec::new();
+        for (id, g) in self.iter() {
+            values[id.index()] = match g.kind {
                 GateKind::Input => *input_iter.next().expect("one value per input"),
                 kind => {
-                    let vals: Vec<bool> = g.fanins.iter().map(|f| values[f.index()]).collect();
+                    vals.clear();
+                    vals.extend(g.fanins.iter().map(|f| values[f.index()]));
                     kind.eval(&vals)
                 }
             };
@@ -386,8 +421,8 @@ mod tests {
     fn variadic_gates() {
         let mut net = Network::new("wide");
         let ins: Vec<GateId> = (0..5).map(|i| net.add_input(format!("x{i}"))).collect();
-        let and = net.add_gate(GateKind::And, ins.clone());
-        let xor = net.add_gate(GateKind::Xor, ins);
+        let and = net.add_gate(GateKind::And, &ins);
+        let xor = net.add_gate(GateKind::Xor, &ins);
         net.set_output("a", and);
         net.set_output("x", xor);
         assert_eq!(net.eval(&[true; 5]), vec![true, true]);
@@ -429,7 +464,7 @@ mod tests {
     fn fanin_must_exist() {
         let mut net = Network::new("bad");
         let a = net.add_input("a");
-        net.add_gate(GateKind::Not, vec![GateId::from_index(a.index() + 7)]);
+        net.add_gate(GateKind::Not, &[GateId::from_index(a.index() + 7)]);
     }
 
     #[test]
@@ -437,6 +472,6 @@ mod tests {
     fn arity_checked() {
         let mut net = Network::new("bad");
         let a = net.add_input("a");
-        net.add_gate(GateKind::Maj, vec![a, a]);
+        net.add_gate(GateKind::Maj, &[a, a]);
     }
 }

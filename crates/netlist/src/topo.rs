@@ -1,7 +1,6 @@
 //! Topological utilities over [`Network`]s.
 
 use crate::{GateId, GateKind, Network};
-use std::collections::HashMap;
 
 impl Network {
     /// Logic level of every gate: inputs and constants are level 0, any
@@ -72,32 +71,27 @@ impl Network {
     pub fn sweep(&self) -> Network {
         let mark = self.reachable();
         let mut out = Network::new(self.name().to_string());
-        let mut map: HashMap<GateId, GateId> = HashMap::new();
+        // Old id → new id; only entries of kept gates are ever read.
+        let mut map: Vec<GateId> = Vec::with_capacity(self.num_gates());
+        let mut next_input = 0;
         for (id, gate) in self.iter() {
-            match gate.kind() {
+            let new = match gate.kind() {
                 GateKind::Input => {
-                    let pos = self
-                        .inputs()
-                        .iter()
-                        .position(|&i| i == id)
-                        .expect("input gate listed in inputs");
-                    let new = out.add_input(self.input_name(pos).to_string());
-                    map.insert(id, new);
+                    next_input += 1;
+                    out.add_input(self.input_name(next_input - 1).to_string())
                 }
-                _ if !mark[id.index()] => {}
-                GateKind::Buf => {
-                    let src = map[&gate.fanins()[0]];
-                    map.insert(id, src);
-                }
+                _ if !mark[id.index()] => GateId(u32::MAX),
+                GateKind::Buf => map[gate.fanins()[0].index()],
                 kind => {
-                    let fanins = gate.fanins().iter().map(|f| map[f]).collect();
-                    let new = out.add_gate(kind, fanins);
-                    map.insert(id, new);
+                    let fanins: Vec<GateId> =
+                        gate.fanins().iter().map(|f| map[f.index()]).collect();
+                    out.add_gate(kind, &fanins)
                 }
-            }
+            };
+            map.push(new);
         }
         for (name, g) in self.outputs() {
-            out.set_output(name.clone(), map[g]);
+            out.set_output(name.clone(), map[g.index()]);
         }
         out
     }
@@ -158,7 +152,7 @@ mod tests {
     fn sweep_bypasses_buffers() {
         let mut net = Network::new("t");
         let a = net.add_input("a");
-        let buf = net.add_gate(GateKind::Buf, vec![a]);
+        let buf = net.add_gate(GateKind::Buf, &[a]);
         let n = net.not(buf);
         net.set_output("y", n);
         let swept = net.sweep();

@@ -139,8 +139,8 @@ mod tests {
         // vector; the result must match a manual word-wise fold.
         let mut net = Network::new("wide");
         let ins: Vec<_> = (0..12).map(|i| net.add_input(format!("x{i}"))).collect();
-        let g_and = net.add_gate(mig_netlist::GateKind::And, ins.clone());
-        let g_xor = net.add_gate(mig_netlist::GateKind::Xor, ins.clone());
+        let g_and = net.add_gate(mig_netlist::GateKind::And, &ins);
+        let g_xor = net.add_gate(mig_netlist::GateKind::Xor, &ins);
         net.set_output("and", g_and);
         net.set_output("xor", g_xor);
         let words: Vec<u64> = (0..12)
@@ -184,8 +184,8 @@ mod tests {
         // must hit the spill vector and still match the word-wise fold.
         let mut net = Network::new("wide");
         let ins: Vec<_> = (0..12).map(|i| net.add_input(format!("x{i}"))).collect();
-        let g_and = net.add_gate(mig_netlist::GateKind::And, ins.clone());
-        let g_xor = net.add_gate(mig_netlist::GateKind::Xor, ins);
+        let g_and = net.add_gate(mig_netlist::GateKind::And, &ins);
+        let g_xor = net.add_gate(mig_netlist::GateKind::Xor, &ins);
         net.set_output("and", g_and);
         net.set_output("xor", g_xor);
         let w = 3;

@@ -107,11 +107,8 @@ impl MappedDesign {
     /// Estimated power in µW: dynamic switching power
     /// `Σ p(1−p)·C_load·V²·f` over nets plus cell leakage.
     pub fn power(&self) -> f64 {
-        let net = self.to_network();
+        let (net, gate_of_net) = self.build_network();
         let probs = signal_probabilities(&net, &vec![0.5; net.num_inputs()]);
-        // net-id → probability via the network gate mapping (identical
-        // ordering by construction of to_network).
-        let gate_of_net = self.net_to_gate_map(&net);
         let mut cap = vec![0.0f64; self.num_nets()];
         for inst in &self.instances {
             let cell = &self.library.cells[inst.cell];
@@ -139,6 +136,11 @@ impl MappedDesign {
     /// Converts the mapped design back into a primitive-gate network
     /// (used for verification and probability estimation).
     pub fn to_network(&self) -> Network {
+        self.build_network().0
+    }
+
+    /// The primitive-gate network and the gate of every net.
+    fn build_network(&self) -> (Network, Vec<Option<GateId>>) {
         let mut net = Network::new(self.name.clone());
         let mut gate_of: Vec<Option<GateId>> = vec![None; self.num_nets()];
         for (i, name) in self.input_names.iter().enumerate() {
@@ -148,46 +150,22 @@ impl MappedDesign {
         let c1 = net.constant(true);
         gate_of[self.const_net(false) as usize] = Some(c0);
         gate_of[self.const_net(true) as usize] = Some(c1);
+        let mut fanins: Vec<GateId> = Vec::new();
         for (i, inst) in self.instances.iter().enumerate() {
             let cell = &self.library.cells[inst.cell];
-            let fanins: Vec<GateId> = inst
-                .inputs
-                .iter()
-                .map(|&n| gate_of[n as usize].expect("topological order"))
-                .collect();
+            fanins.clear();
+            fanins.extend(
+                inst.inputs
+                    .iter()
+                    .map(|&n| gate_of[n as usize].expect("topological order")),
+            );
             let g = build_cell_function(&mut net, &cell.function, &fanins);
             gate_of[self.instance_net(i) as usize] = Some(g);
         }
         for (name, n) in &self.outputs {
             net.set_output(name.clone(), gate_of[*n as usize].expect("driven net"));
         }
-        net
-    }
-
-    fn net_to_gate_map(&self, net: &Network) -> Vec<Option<GateId>> {
-        // Reconstruct the same correspondence as `to_network` (the build
-        // is deterministic, so replaying it yields identical ids).
-        let mut replay = Network::new(self.name.clone());
-        let mut gate_of: Vec<Option<GateId>> = vec![None; self.num_nets()];
-        for (i, name) in self.input_names.iter().enumerate() {
-            gate_of[i] = Some(replay.add_input(name.clone()));
-        }
-        let c0 = replay.constant(false);
-        let c1 = replay.constant(true);
-        gate_of[self.const_net(false) as usize] = Some(c0);
-        gate_of[self.const_net(true) as usize] = Some(c1);
-        for (i, inst) in self.instances.iter().enumerate() {
-            let cell = &self.library.cells[inst.cell];
-            let fanins: Vec<GateId> = inst
-                .inputs
-                .iter()
-                .map(|&n| gate_of[n as usize].expect("topological order"))
-                .collect();
-            let g = build_cell_function(&mut replay, &cell.function, &fanins);
-            gate_of[self.instance_net(i) as usize] = Some(g);
-        }
-        debug_assert_eq!(replay.num_gates(), net.num_gates());
-        gate_of
+        (net, gate_of)
     }
 }
 
@@ -198,18 +176,18 @@ fn build_cell_function(net: &mut Network, f: &TruthTable, fanins: &[GateId]) -> 
     let nv = f.num_vars();
     let single = |tt_bits: u64| f.num_vars() <= 3 && f.as_u64() == tt_bits;
     match nv {
-        1 if single(0b01) => net.add_gate(GateKind::Not, vec![fanins[0]]),
-        1 if single(0b10) => net.add_gate(GateKind::Buf, vec![fanins[0]]),
-        2 if single(0b1000) => net.add_gate(GateKind::And, fanins.to_vec()),
-        2 if single(0b1110) => net.add_gate(GateKind::Or, fanins.to_vec()),
-        2 if single(0b0111) => net.add_gate(GateKind::Nand, fanins.to_vec()),
-        2 if single(0b0001) => net.add_gate(GateKind::Nor, fanins.to_vec()),
-        2 if single(0b0110) => net.add_gate(GateKind::Xor, fanins.to_vec()),
-        2 if single(0b1001) => net.add_gate(GateKind::Xnor, fanins.to_vec()),
-        3 if single(0xE8) => net.add_gate(GateKind::Maj, fanins.to_vec()),
+        1 if single(0b01) => net.add_gate(GateKind::Not, &[fanins[0]]),
+        1 if single(0b10) => net.add_gate(GateKind::Buf, &[fanins[0]]),
+        2 if single(0b1000) => net.add_gate(GateKind::And, fanins),
+        2 if single(0b1110) => net.add_gate(GateKind::Or, fanins),
+        2 if single(0b0111) => net.add_gate(GateKind::Nand, fanins),
+        2 if single(0b0001) => net.add_gate(GateKind::Nor, fanins),
+        2 if single(0b0110) => net.add_gate(GateKind::Xor, fanins),
+        2 if single(0b1001) => net.add_gate(GateKind::Xnor, fanins),
+        3 if single(0xE8) => net.add_gate(GateKind::Maj, fanins),
         3 if single(0x17) => {
-            let m = net.add_gate(GateKind::Maj, fanins.to_vec());
-            net.add_gate(GateKind::Not, vec![m])
+            let m = net.add_gate(GateKind::Maj, fanins);
+            net.add_gate(GateKind::Not, &[m])
         }
         _ => {
             // Generic fallback: factored-cover construction.
@@ -226,7 +204,7 @@ fn build_factored(net: &mut Network, ff: &FactoredForm, fanins: &[GateId]) -> Ga
             if *positive {
                 fanins[*var]
             } else {
-                net.add_gate(GateKind::Not, vec![fanins[*var]])
+                net.add_gate(GateKind::Not, &[fanins[*var]])
             }
         }
         FactoredForm::And(parts) => {
@@ -234,14 +212,14 @@ fn build_factored(net: &mut Network, ff: &FactoredForm, fanins: &[GateId]) -> Ga
                 .iter()
                 .map(|p| build_factored(net, p, fanins))
                 .collect();
-            net.add_gate(GateKind::And, gates)
+            net.add_gate(GateKind::And, &gates)
         }
         FactoredForm::Or(parts) => {
             let gates: Vec<GateId> = parts
                 .iter()
                 .map(|p| build_factored(net, p, fanins))
                 .collect();
-            net.add_gate(GateKind::Or, gates)
+            net.add_gate(GateKind::Or, &gates)
         }
     }
 }

@@ -13,7 +13,7 @@ use std::thread;
 use std::time::Duration;
 
 use mig_core::Flow;
-use mig_mighty::json::Json;
+use mig_mighty::json::{escape_str, Json};
 use mig_mighty::serve::{LoadConfig, ServeConfig, Server, MAX_REQUEST_LINE};
 use mig_mighty::{run_flow_with, RunOptions};
 use mig_netlist::write_verilog;
@@ -240,6 +240,37 @@ fn oversized_request_line_is_rejected_and_the_server_survives() {
     let mut fresh = Client::connect(addr);
     fresh.send("{\"op\": \"ping\"}");
     assert_eq!(fresh.recv().get_str("type"), Some("pong"));
+    server.shutdown();
+    assert!(server.wait());
+}
+
+#[test]
+fn deep_netlists_are_served_and_the_server_survives() {
+    // Each of these once overflowed the connection thread's stack in the
+    // parser and aborted the whole server.
+    let mut chain = String::from("module chain(w0, y); input w0; output y; assign y = w20000;\n");
+    for i in (1..=20_000).rev() {
+        chain.push_str(&format!("wire w{i}; assign w{i} = ~w{};\n", i - 1));
+    }
+    chain.push_str("endmodule\n");
+    let parens = format!(
+        "module deep(a, b, y); input a, b; output y; assign y = {}a ^ b{}; endmodule",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    let server = start(1, 0);
+    let mut client = Client::connect(server.addr());
+    for (id, text) in [(1, chain), (2, parens)] {
+        client.send(&format!(
+            "{{\"id\": {id}, \"netlist\": \"{}\", \"flow\": \"size\", \"effort\": 1}}",
+            escape_str(&text)
+        ));
+        let v = client.recv_final();
+        assert_eq!(v.get_str("type"), Some("result"), "job {id}");
+        assert_eq!(v.get_num("exit_code"), Some(0.0), "job {id}");
+    }
+    client.send("{\"op\": \"ping\"}");
+    assert_eq!(client.recv().get_str("type"), Some("pong"));
     server.shutdown();
     assert!(server.wait());
 }
