@@ -114,14 +114,6 @@ pub fn generate(name: &str) -> Option<Network> {
     })
 }
 
-/// Generates the full large tier in [`LARGE_NAMES`] order.
-pub fn large_suite() -> Vec<Network> {
-    LARGE_NAMES
-        .iter()
-        .map(|n| generate(n).expect("all names are known"))
-        .collect()
-}
-
 /// Generates the full 14-circuit suite in Table I order.
 pub fn mcnc_suite() -> Vec<Network> {
     MCNC_NAMES

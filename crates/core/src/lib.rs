@@ -52,7 +52,6 @@ mod algebra;
 mod convert;
 #[cfg(feature = "faultpoints")]
 pub mod faultpoint;
-pub mod level;
 mod mig;
 pub mod opt;
 pub(crate) mod scratch;
@@ -60,12 +59,11 @@ mod signal;
 mod simulate;
 pub(crate) mod strash;
 
-pub use crate::level::{LevelMap, LevelStats};
 pub use crate::mig::Mig;
 pub use opt::{
     enumerate_cuts, optimize_activity, optimize_depth, optimize_rewrite, optimize_size,
     ActivityOptConfig, ActivityPass, Budget, Cost, CutSet, DepthOptConfig, DepthPass, EGraph, ELit,
-    EnumeratedCut, EsatConfig, EsatPass, EsatRule, EsatStats, Flow, FlowStep, MapPass,
+    EnumeratedCut, EsatConfig, EsatPass, EsatRule, EsatStats, Flow, FlowStep, LevelStats, MapPass,
     MappedMetrics, Objective, OptContext, Pass, PassKind, PassMetrics, PassOutcome, PassReport,
     Repeat, RewriteConfig, RewritePass, SizeOptConfig, SizePass, StopReason, TechModel,
 };

@@ -67,13 +67,6 @@ pub struct Mig {
     /// [`STAMP_SOURCE`] inside the same invalidation hook that drops the
     /// reachability cache).
     stamp: u64,
-    /// Globally unique id of this arena *lifetime*: drawn at construction
-    /// and re-drawn by [`Mig::reset_for_rebuild`]. Unlike `stamp` (which
-    /// advances per mutation), the generation only changes when the arena
-    /// is truncated and restarted, so an external mirror (`LevelMap`) can
-    /// distinguish "same graph, more nodes appended" — catch-up is bounded
-    /// by the appended suffix — from "different graph entirely".
-    generation: u64,
     /// Memoized [`Mig::depth`] keyed on the mutation stamp (stamps start
     /// at 1, so a stored stamp of 0 means "no value cached").
     depth_memo: Cell<(u64, u32)>,
@@ -156,11 +149,7 @@ struct ReachCache {
 }
 
 impl Clone for Mig {
-    /// Clones the graph with a *fresh* generation id: a clone may mutate
-    /// independently of its source, so it must not look like an
-    /// append-only continuation of the same arena lifetime to a
-    /// [`crate::LevelMap`] mirror (which would otherwise trust the shared
-    /// prefix after the two diverge at the same length).
+    /// Clones the graph with empty traversal scratchpads.
     fn clone(&self) -> Self {
         Mig {
             name: self.name.clone(),
@@ -174,7 +163,6 @@ impl Clone for Mig {
             subst: RefCell::new(SubstScratch::default()),
             reach: RefCell::new(self.reach.borrow().clone()),
             stamp: self.stamp,
-            generation: STAMP_SOURCE.fetch_add(1, Ordering::Relaxed),
             depth_memo: self.depth_memo.clone(),
         }
     }
@@ -195,7 +183,6 @@ impl Mig {
             subst: RefCell::new(SubstScratch::default()),
             reach: RefCell::new(ReachCache::default()),
             stamp: STAMP_SOURCE.fetch_add(1, Ordering::Relaxed),
-            generation: STAMP_SOURCE.fetch_add(1, Ordering::Relaxed),
             depth_memo: Cell::new((0, 0)),
         }
     }
@@ -238,18 +225,6 @@ impl Mig {
     /// keyed on it (the rewrite engine's cut cache) use that proof.
     pub(crate) fn rewrite_stamp(&self) -> u64 {
         self.stamp
-    }
-
-    /// Public alias of the mutation stamp, for external caches
-    /// (`LevelMap`, bench instrumentation) that key on graph state.
-    pub fn mutation_stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    /// The arena-lifetime id: stable across in-place mutations, re-drawn
-    /// when the arena is truncated for a rebuild. See the field docs.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The design name.
@@ -373,19 +348,15 @@ impl Mig {
 
     /// Logic level of a node: 0 for inputs/constants, 1 + deepest fanin
     /// for gates.
+    #[inline]
     pub fn level_of(&self, node: NodeId) -> u32 {
         self.level[node.index()]
     }
 
     /// Logic level of the node a signal points at.
+    #[inline]
     pub fn level_of_signal(&self, signal: Signal) -> u32 {
         self.level[signal.node().index()]
-    }
-
-    /// The full per-node level array (index = arena node index), for
-    /// bulk consumers like the `LevelMap` global resync.
-    pub(crate) fn node_levels(&self) -> &[u32] {
-        &self.level
     }
 
     /// Creates (or finds) the majority node `M(a, b, c)`.
@@ -628,7 +599,6 @@ impl Mig {
         self.input_names.clear();
         self.outputs.clear();
         self.strash.clear();
-        self.generation = STAMP_SOURCE.fetch_add(1, Ordering::Relaxed);
         self.invalidate_cache();
         for i in 0..proto.num_inputs() {
             self.children.push([Signal::FALSE; 3]);
@@ -1121,5 +1091,106 @@ mod tests {
             Some(m2),
             "strash cleared and repopulated"
         );
+    }
+
+    /// Asserts every arena level and the memoized depth equal a
+    /// from-scratch topological recompute from the children alone.
+    fn assert_levels_exact(mig: &Mig, what: &str) {
+        let mut fresh = vec![0u32; mig.num_nodes()];
+        for node in mig.gate_ids() {
+            fresh[node.index()] = 1 + mig
+                .children(node)
+                .iter()
+                .map(|s| fresh[s.node().index()])
+                .max()
+                .unwrap();
+        }
+        for (i, &level) in fresh.iter().enumerate() {
+            assert_eq!(
+                mig.level_of(NodeId::from_index(i)),
+                level,
+                "{what}: node {i}"
+            );
+        }
+        let depth = mig
+            .outputs()
+            .iter()
+            .map(|&(_, s)| fresh[s.node().index()])
+            .max();
+        assert_eq!(mig.depth(), depth.unwrap_or(0), "{what}: depth");
+    }
+
+    #[test]
+    fn property_random_edit_sequences_match_recompute() {
+        // Random append/substitute/rebuild/redirect/clone sequences on
+        // SplitMix64-seeded corpora. Each step reads the depth, so the
+        // next edit must invalidate the memo it leaves behind.
+        for seed in 0..6u64 {
+            let mut rng = mig_netlist::SplitMix64::seed_from_u64(0x1e7e_1000 + seed);
+            let mut mig = Mig::new(format!("corpus{seed}"));
+            let ins: Vec<Signal> = (0..8).map(|i| mig.add_input(format!("x{i}"))).collect();
+            let mut sigs = ins.clone();
+            for _ in 0..40 {
+                let a = sigs[rng.gen_range(0..sigs.len())];
+                let b = sigs[rng.gen_range(0..sigs.len())];
+                let c = sigs[rng.gen_range(0..sigs.len())];
+                sigs.push(mig.maj(a, b, c));
+            }
+            let root = *sigs.last().unwrap();
+            mig.add_output("y", root);
+            let mut bufs = crate::opt::OptBuffers::new();
+            assert_levels_exact(&mig, "initial");
+            for step in 0..60 {
+                let what = format!("corpus {seed}, step {step}");
+                match rng.gen_range(0..5) {
+                    // Append a random cone.
+                    0 => {
+                        let a = sigs[rng.gen_range(0..sigs.len())];
+                        let b = sigs[rng.gen_range(0..sigs.len())];
+                        let c = sigs[rng.gen_range(0..sigs.len())];
+                        let s = mig.maj(a, b, c);
+                        sigs.push(s);
+                        if rng.gen_bool(0.5) {
+                            mig.set_output(0, s);
+                        }
+                    }
+                    // Substitute: rebuild the output cone with one
+                    // node replaced (appends, then redirects).
+                    1 => {
+                        let from = sigs[rng.gen_range(0..sigs.len())].node();
+                        let to = sigs[rng.gen_range(0..sigs.len())];
+                        if mig.is_gate(from) && to.node() != from {
+                            let out = mig.outputs()[0].1;
+                            let new_root = mig.substitute(out, from, to);
+                            mig.set_output(0, new_root);
+                        }
+                    }
+                    // Eliminate-style rebuild into a recycled arena.
+                    2 => {
+                        let rebuilt = bufs.cleanup(&mig);
+                        bufs.recycle(std::mem::replace(&mut mig, rebuilt));
+                        sigs = (0..mig.num_inputs()).map(|i| mig.input(i)).collect();
+                        sigs.extend(mig.gate_ids().map(|n| Signal::new(n, false)));
+                    }
+                    // Clone, then let the clone diverge from its source
+                    // by one appended output; both must stay exact.
+                    3 => {
+                        let mut copy = mig.clone();
+                        assert_levels_exact(&copy, &format!("{what}, clone"));
+                        let a = sigs[rng.gen_range(0..sigs.len())];
+                        let x = copy.xor(a, copy.outputs()[0].1);
+                        copy.add_output("z", x);
+                        assert_levels_exact(&copy, &format!("{what}, grown clone"));
+                        assert_levels_exact(&mig, &format!("{what}, clone source"));
+                    }
+                    // Output redirect only (stamp moves, no growth).
+                    _ => {
+                        let s = sigs[rng.gen_range(0..sigs.len())];
+                        mig.set_output(0, s);
+                    }
+                }
+                assert_levels_exact(&mig, &what);
+            }
+        }
     }
 }

@@ -11,6 +11,9 @@ use super::size::{eliminate_pass, optimize_size_with, SizeOptConfig};
 use super::OptBuffers;
 use crate::{Mig, Signal};
 
+/// Maximum tolerated relative size growth of an accepted step (5 %).
+const SIZE_SLACK: f64 = 0.05;
+
 /// Tuning knobs for [`optimize_activity`].
 #[derive(Debug, Clone)]
 pub struct ActivityOptConfig {
@@ -18,8 +21,6 @@ pub struct ActivityOptConfig {
     pub effort: usize,
     /// Cone bound for the relevance rewrites.
     pub cone_limit: usize,
-    /// Maximum tolerated relative size growth (e.g. `0.05` = 5 %).
-    pub size_slack: f64,
 }
 
 impl Default for ActivityOptConfig {
@@ -27,7 +28,6 @@ impl Default for ActivityOptConfig {
         ActivityOptConfig {
             effort: 3,
             cone_limit: 40,
-            size_slack: 0.05,
         }
     }
 }
@@ -37,7 +37,7 @@ impl Default for ActivityOptConfig {
 ///
 /// Returns a functionally equivalent MIG whose
 /// [`switching_activity`](Mig::switching_activity) is less than or equal
-/// to the input's, with size growth bounded by `config.size_slack`.
+/// to the input's, with size growth bounded by 5 %.
 ///
 /// # Panics
 ///
@@ -103,8 +103,7 @@ pub(crate) fn optimize_activity_with(
             bufs.recycle(recovered);
             (cur, cur_cost)
         };
-        let within_slack =
-            cand.size() as f64 <= best.size() as f64 * (1.0 + config.size_slack) + 1.0;
+        let within_slack = cand.size() as f64 <= best.size() as f64 * (1.0 + SIZE_SLACK) + 1.0;
         if cand_cost < best_cost && within_slack {
             bufs.recycle(std::mem::replace(&mut best, cand));
             best_cost = cand_cost;

@@ -14,7 +14,6 @@
 
 use super::size::{eliminate_pass, reshape_pass, substitution_kick};
 use super::{Objective, OptBuffers};
-use crate::level::LevelMap;
 
 /// The lexicographic objective Algorithm 2 minimizes.
 const OBJECTIVE: Objective = Objective::DepthThenSize;
@@ -27,10 +26,6 @@ pub struct DepthOptConfig {
     pub effort: usize,
     /// Allow `Ω.D` L→R moves that add one node for one level of gain.
     pub allow_area_increase: bool,
-    /// Run elimination (size recovery) at the end of each cycle.
-    pub area_recovery: bool,
-    /// Apply `Ψ.R`/`Ψ.S` reshaping when progress stalls.
-    pub reshape: bool,
     /// Cone bound used by the relevance rewrites during reshaping.
     pub cone_limit: usize,
 }
@@ -40,8 +35,6 @@ impl Default for DepthOptConfig {
         DepthOptConfig {
             effort: 6,
             allow_area_increase: true,
-            area_recovery: true,
-            reshape: true,
             cone_limit: 40,
         }
     }
@@ -73,28 +66,18 @@ impl Default for DepthOptConfig {
 /// assert_eq!(opt.depth(), 2);
 /// ```
 pub fn optimize_depth(mig: &Mig, config: &DepthOptConfig) -> Mig {
-    optimize_depth_with(mig, config, &mut OptBuffers::new(), &mut LevelMap::new())
+    optimize_depth_with(mig, config, &mut OptBuffers::new())
 }
 
-/// [`optimize_depth`] with caller-provided rebuild buffers and level
-/// mirror, so composite flows share one arena pool and one level-repair
-/// state across every pass they run.
+/// [`optimize_depth`] with caller-provided rebuild buffers, so composite
+/// flows share one arena pool across every pass they run.
 pub(crate) fn optimize_depth_with(
     mig: &Mig,
     config: &DepthOptConfig,
     bufs: &mut OptBuffers,
-    lm: &mut LevelMap,
 ) -> Mig {
     let mut best = mig.cleanup();
-    // Acceptance measurement through the level mirror: the best cost is
-    // carried forward, so each candidate pays exactly one bind, never a
-    // re-measure of `best`.
-    let measure = |lm: &mut LevelMap, m: &Mig| {
-        lm.bind(m);
-        let depth = lm.depth(m);
-        OBJECTIVE.cost(m.size(), depth)
-    };
-    let mut best_cost = measure(lm, &best);
+    let mut best_cost = OBJECTIVE.of(&best);
     // Runs one pass and recycles its input's buffers.
     let step = |bufs: &mut OptBuffers, cur: Mig, f: &dyn Fn(&Mig, &mut OptBuffers) -> Mig| {
         let next = f(&cur, bufs);
@@ -107,17 +90,13 @@ pub(crate) fn optimize_depth_with(
         cur = step(bufs, cur, &|m, b| {
             push_up_pass(m, config.allow_area_increase, b)
         });
-        if config.reshape {
-            cur = step(bufs, cur, &|m, b| reshape_pass(m, config.cone_limit, b));
-        }
+        cur = step(bufs, cur, &|m, b| reshape_pass(m, config.cone_limit, b));
         cur = step(bufs, cur, &|m, b| {
             push_up_pass(m, config.allow_area_increase, b)
         });
-        if config.area_recovery {
-            cur = step(bufs, cur, &eliminate_pass);
-        }
+        cur = step(bufs, cur, &eliminate_pass);
         cur = step(bufs, cur, &|m, b| b.cleanup(m));
-        let cur_cost = measure(lm, &cur);
+        let cur_cost = OBJECTIVE.of(&cur);
         if cur_cost < best_cost {
             best_cost = cur_cost;
             bufs.recycle(std::mem::replace(&mut best, cur));
@@ -125,31 +104,27 @@ pub(crate) fn optimize_depth_with(
         }
         bufs.recycle(cur);
         // Local minimum: Ψ.S kick (paper Fig. 2(b)), then retry once.
-        if config.reshape {
-            let kicked = substitution_kick(&best, cycle);
-            let mut k = push_up_pass(
-                kicked.as_ref().unwrap_or(&best),
-                config.allow_area_increase,
-                bufs,
-            );
-            if let Some(kicked) = kicked {
-                bufs.recycle(kicked);
-            }
-            k = step(bufs, k, &|m, b| {
-                push_up_pass(m, config.allow_area_increase, b)
-            });
-            if config.area_recovery {
-                k = step(bufs, k, &eliminate_pass);
-            }
-            k = step(bufs, k, &|m, b| b.cleanup(m));
-            let k_cost = measure(lm, &k);
-            if k_cost < best_cost {
-                best_cost = k_cost;
-                bufs.recycle(std::mem::replace(&mut best, k));
-                continue;
-            }
-            bufs.recycle(k);
+        let kicked = substitution_kick(&best, cycle);
+        let mut k = push_up_pass(
+            kicked.as_ref().unwrap_or(&best),
+            config.allow_area_increase,
+            bufs,
+        );
+        if let Some(kicked) = kicked {
+            bufs.recycle(kicked);
         }
+        k = step(bufs, k, &|m, b| {
+            push_up_pass(m, config.allow_area_increase, b)
+        });
+        k = step(bufs, k, &eliminate_pass);
+        k = step(bufs, k, &|m, b| b.cleanup(m));
+        let k_cost = OBJECTIVE.of(&k);
+        if k_cost < best_cost {
+            best_cost = k_cost;
+            bufs.recycle(std::mem::replace(&mut best, k));
+            continue;
+        }
+        bufs.recycle(k);
         break;
     }
     best

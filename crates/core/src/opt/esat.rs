@@ -735,11 +735,6 @@ impl EGraph {
         self.num_enodes
     }
 
-    /// Allocated e-class count (absorbed classes included).
-    pub fn num_classes(&self) -> usize {
-        self.uf.len()
-    }
-
     fn fresh_class(&mut self) -> u32 {
         let id = self.uf.len() as u32;
         self.uf.push(ELit::new(id, false));
@@ -1847,12 +1842,7 @@ impl EsatPass {
     /// chooses the cheapest mix of all the structures plus everything
     /// saturation derives between them.
     fn variants(&self, bufs: &mut OptBuffers, rc: &mut RewriteCache, mig: &Mig) -> Vec<Mig> {
-        let deep = super::depth::optimize_depth_with(
-            mig,
-            &DepthOptConfig::default(),
-            bufs,
-            &mut crate::level::LevelMap::new(),
-        );
+        let deep = super::depth::optimize_depth_with(mig, &DepthOptConfig::default(), bufs);
         let recovered = super::size::optimize_size_with(&deep, &SizeOptConfig::default(), bufs);
         let rw_deep = optimize_rewrite_with(
             mig,
@@ -1862,7 +1852,6 @@ impl EsatPass {
             },
             bufs,
             rc,
-            &mut crate::level::LevelMap::new(),
         );
         vec![deep, recovered, rw_deep]
     }

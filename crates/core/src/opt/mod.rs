@@ -26,8 +26,9 @@ pub use activity::{optimize_activity, ActivityOptConfig};
 pub use depth::{optimize_depth, DepthOptConfig};
 pub use esat::{EGraph, ELit, EsatConfig, EsatPass, EsatRule, EsatStats, StopReason};
 pub use pipeline::{
-    ActivityPass, Budget, DepthPass, Flow, FlowStep, MapPass, MappedMetrics, OptContext, Pass,
-    PassKind, PassMetrics, PassOutcome, PassReport, Repeat, RewritePass, SizePass, TechModel,
+    ActivityPass, Budget, DepthPass, Flow, FlowStep, LevelStats, MapPass, MappedMetrics,
+    OptContext, Pass, PassKind, PassMetrics, PassOutcome, PassReport, Repeat, RewritePass,
+    SizePass, TechModel,
 };
 pub use rewrite::{enumerate_cuts, optimize_rewrite, CutSet, EnumeratedCut, RewriteConfig};
 pub use size::{optimize_size, SizeOptConfig};

@@ -71,7 +71,6 @@ use super::depth::{optimize_depth_with, DepthOptConfig};
 use super::rewrite::{optimize_rewrite_with, RewriteCache, RewriteConfig};
 use super::size::{optimize_size_with, SizeOptConfig};
 use super::{Objective, OptBuffers};
-use crate::level::{LevelMap, LevelStats};
 use crate::Mig;
 
 /// Iteration cap for a `pass*` convergence marker: the pass is re-run
@@ -261,6 +260,20 @@ pub struct PassReport {
     pub unchanged: bool,
 }
 
+/// Level-repair counters returned by [`OptContext::take_level_stats`].
+/// Every pass builds a fresh append-only arena whose node levels are
+/// exact from construction, so nothing is ever repaired and all three
+/// counts are 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelStats {
+    /// Incremental level repairs.
+    pub incremental_repairs: u64,
+    /// Nodes whose level an incremental repair recomputed.
+    pub repaired_nodes: u64,
+    /// Whole-graph level rebuilds.
+    pub global_rebuilds: u64,
+}
+
 /// Shared state of one optimization pipeline.
 ///
 /// Owns everything that used to be per-pass private: the
@@ -276,11 +289,6 @@ pub struct PassReport {
 pub struct OptContext {
     pub(crate) bufs: OptBuffers,
     pub(crate) rewrite: RewriteCache,
-    /// Bounded dynamic level mirror shared by the level-consuming passes
-    /// (rewrite scheduling and acceptance, algebraic depth, mapping).
-    /// Stamp-keyed like the rewrite cache, so reuse never changes
-    /// results; carries repair statistics across a run.
-    pub(crate) levels: LevelMap,
     jobs: usize,
     ledger: Vec<PassReport>,
     /// Metrics of the most recently measured graph state, keyed by its
@@ -325,12 +333,6 @@ impl OptContext {
         self.jobs
     }
 
-    /// Sets the rewrite-engine worker count (`0` = available
-    /// parallelism). Wall time only; never affects results.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs;
-    }
-
     /// The wall-time ledger: one [`PassReport`] per executed pass, in
     /// run order, accumulated across every [`Flow::run`] /
     /// [`OptContext::run_pass`] on this context.
@@ -355,13 +357,6 @@ impl OptContext {
         // cost — never serve them for the new model.
         self.last_metrics = None;
         self.tech = Some(tech);
-    }
-
-    /// Removes the technology cost model, returning it (e.g. for a
-    /// final measurement outside the pipeline).
-    pub fn clear_tech(&mut self) -> Option<Box<dyn TechModel>> {
-        self.last_metrics = None;
-        self.tech.take()
     }
 
     /// The installed technology cost model, if any.
@@ -410,17 +405,10 @@ impl OptContext {
         self.rewrite.cut_entries()
     }
 
-    /// Accumulated statistics of the dynamic level mirror: how often a
-    /// bind was a no-op, an incremental catch-up, or a global rebuild,
-    /// and how many nodes each class touched.
-    pub fn level_stats(&self) -> LevelStats {
-        self.levels.stats()
-    }
-
-    /// Drains and returns the level-mirror statistics (e.g. between
-    /// benchmark circuits sharing one context).
+    /// Level-repair counters since the last call: always zero (see
+    /// [`LevelStats`]).
     pub fn take_level_stats(&mut self) -> LevelStats {
-        self.levels.take_stats()
+        LevelStats::default()
     }
 
     /// Measures `mig` for a ledger entry, with its mapped cost when
@@ -691,7 +679,7 @@ impl Pass for DepthPass {
     }
 
     fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let out = optimize_depth_with(&mig, &self.config, &mut ctx.bufs, &mut ctx.levels);
+        let out = optimize_depth_with(&mig, &self.config, &mut ctx.bufs);
         ctx.bufs.recycle(mig);
         out
     }
@@ -770,13 +758,7 @@ impl Pass for RewritePass {
             },
             ..self.config.clone()
         };
-        let out = optimize_rewrite_with(
-            &mig,
-            &config,
-            &mut ctx.bufs,
-            &mut ctx.rewrite,
-            &mut ctx.levels,
-        );
+        let out = optimize_rewrite_with(&mig, &config, &mut ctx.bufs, &mut ctx.rewrite);
         ctx.bufs.recycle(mig);
         out
     }

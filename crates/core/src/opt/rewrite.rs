@@ -57,7 +57,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use super::size::eliminate_pass;
 use super::{Cost, Objective, OptBuffers};
-use crate::level::LevelMap;
 use crate::mig::MigView;
 use crate::scratch::ScratchPool;
 use crate::{Mig, NodeId, Signal};
@@ -93,9 +92,6 @@ pub struct RewriteConfig {
     /// Rewrite → eliminate round budget (each unit buys
     /// several incremental sweeps; the pass stops early at a fixpoint).
     pub effort: usize,
-    /// Accept zero-gain replacements that strictly reduce the local
-    /// logic level (size-then-depth acceptance).
-    pub depth_tiebreak: bool,
     /// Evaluate-phase worker threads (`0` = available parallelism,
     /// capped at 16). The thread count never changes the result:
     /// evaluation is read-only and commits are serialized
@@ -117,7 +113,6 @@ impl Default for RewriteConfig {
             cut_size: 4,
             max_cuts: 8,
             effort: 2,
-            depth_tiebreak: true,
             jobs: 0,
             goal: Objective::SizeThenDepth,
         }
@@ -700,24 +695,21 @@ pub fn optimize_rewrite(mig: &Mig, config: &RewriteConfig) -> Mig {
         config,
         &mut OptBuffers::new(),
         &mut RewriteCache::default(),
-        &mut LevelMap::new(),
     )
 }
 
 /// [`optimize_rewrite`] with caller-provided buffers, so composite flows
-/// share one arena pool, one cut/canonization cache, and one level
-/// mirror.
+/// share one arena pool and one cut/canonization cache.
 pub(crate) fn optimize_rewrite_with(
     mig: &Mig,
     config: &RewriteConfig,
     bufs: &mut OptBuffers,
     rc: &mut RewriteCache,
-    lm: &mut LevelMap,
 ) -> Mig {
     let mut best = mig.cleanup();
     let rounds = config.effort.max(1) * ROUNDS_PER_EFFORT;
     for round in 0..rounds {
-        let swept = rewrite_sweep(&best, config, bufs, rc, lm);
+        let swept = rewrite_sweep(&best, config, bufs, rc);
         if swept.is_none() && round > 0 {
             break;
         }
@@ -739,15 +731,6 @@ pub(crate) fn optimize_rewrite_with(
         let cur = bufs.cleanup(&e);
         rc.translate(&e, &cur, &bufs.map);
         bufs.recycle(e);
-        if std::env::var_os("MIG_REWRITE_TRACE").is_some() {
-            eprintln!(
-                "round {round}: cur=({}, {}) best=({}, {})",
-                cur.size(),
-                cur.depth(),
-                best.size(),
-                best.depth()
-            );
-        }
         if config.goal.of(&cur) < config.goal.of(&best) {
             bufs.recycle(std::mem::replace(&mut best, cur));
         } else {
@@ -762,13 +745,13 @@ pub(crate) fn optimize_rewrite_with(
 /// arena (push) order, so the result is bit-identical to the stable
 /// comparison sort it replaced — at O(n + levels) instead of
 /// O(n log n), which is material on million-node worklists.
-fn sort_worklist_by_level(rc: &mut RewriteCache, lm: &LevelMap) {
+fn sort_worklist_by_level(rc: &mut RewriteCache, mig: &Mig) {
     let list = &mut rc.worklist;
     let counts = &mut rc.lvl_counts;
     let out = &mut rc.lvl_sorted;
     let max_level = list
         .iter()
-        .map(|&i| lm.level_of(NodeId::from_index(i as usize)))
+        .map(|&i| mig.level_of(NodeId::from_index(i as usize)))
         .max()
         .unwrap_or(0) as usize;
     // counts[l] accumulates the population of level l, shifted by one so
@@ -776,7 +759,7 @@ fn sort_worklist_by_level(rc: &mut RewriteCache, lm: &LevelMap) {
     counts.clear();
     counts.resize(max_level + 2, 0);
     for &i in list.iter() {
-        counts[lm.level_of(NodeId::from_index(i as usize)) as usize + 1] += 1;
+        counts[mig.level_of(NodeId::from_index(i as usize)) as usize + 1] += 1;
     }
     for l in 1..counts.len() {
         counts[l] += counts[l - 1];
@@ -784,7 +767,7 @@ fn sort_worklist_by_level(rc: &mut RewriteCache, lm: &LevelMap) {
     out.clear();
     out.resize(list.len(), 0);
     for &i in list.iter() {
-        let l = lm.level_of(NodeId::from_index(i as usize)) as usize;
+        let l = mig.level_of(NodeId::from_index(i as usize)) as usize;
         out[counts[l] as usize] = i;
         counts[l] += 1;
     }
@@ -809,7 +792,6 @@ fn rewrite_sweep(
     config: &RewriteConfig,
     bufs: &mut OptBuffers,
     rc: &mut RewriteCache,
-    lm: &mut LevelMap,
 ) -> Option<Mig> {
     let k = config.cut_size.clamp(2, 4);
     // The upper bound matches the candidate-slot width, so every stored
@@ -828,50 +810,25 @@ fn rewrite_sweep(
 
     // Level wavefronts over every reachable gate: nodes of one level
     // never feed each other, so a wavefront can be enumerated
-    // concurrently. The level mirror schedules the wavefronts; the
-    // counting sort keeps ties in arena order, exactly like the stable
-    // comparison sort it replaced, at O(n + levels).
-    lm.bind(old);
+    // concurrently.
     rc.worklist.clear();
     for node in old.gate_ids() {
         if rc.reach[node.index()] {
             rc.worklist.push(node.index() as u32);
         }
     }
-    sort_worklist_by_level(rc, lm);
+    sort_worklist_by_level(rc, old);
 
-    let trace = std::env::var_os("MIG_REWRITE_TRACE").is_some();
-    let t0 = std::time::Instant::now();
     let mut workers = rc.workers.take_n(jobs);
-    let n_enum = enumerate_changed(old, rc, k, max_cuts, jobs, &mut workers);
-    let t1 = std::time::Instant::now();
-    let n_eval = evaluate(old, rc, db, jobs, &mut workers);
-    let t2 = std::time::Instant::now();
+    enumerate_changed(old, rc, k, max_cuts, jobs, &mut workers);
+    evaluate(old, rc, db, jobs, &mut workers);
     rc.workers.put_all(workers);
     let have_cands = rc.worklist.iter().any(|&i| rc.ncands[i as usize] != 0);
     if !have_cands {
-        if trace {
-            eprintln!(
-                "  sweep: enum={n_enum}/{} in {:.2}ms eval={n_eval} in {:.2}ms cands=0",
-                rc.worklist.len(),
-                (t1 - t0).as_secs_f64() * 1e3,
-                (t2 - t1).as_secs_f64() * 1e3
-            );
-        }
         return None;
     }
 
-    let (new, committed) = commit(old, rc, bufs, db, config.goal, config.depth_tiebreak, lm);
-    if trace {
-        eprintln!(
-            "  sweep: enum={n_enum}/{} in {:.2}ms eval={n_eval} in {:.2}ms commit={} in {:.2}ms",
-            rc.worklist.len(),
-            (t1 - t0).as_secs_f64() * 1e3,
-            (t2 - t1).as_secs_f64() * 1e3,
-            committed,
-            t2.elapsed().as_secs_f64() * 1e3
-        );
-    }
+    let (new, committed) = commit(old, rc, bufs, db, config.goal);
     if committed == 0 {
         // Every candidate was rejected by the destination-side
         // re-validation: the rebuild is a verbatim copy, drop it.
@@ -890,8 +847,7 @@ fn rewrite_sweep(
 /// structure changed) or when a fanin's cut set *actually changed* this
 /// sweep — re-enumerations that reproduce the previous cut set do not
 /// propagate (change damping), which is what keeps the dirty region a
-/// thin cone instead of the whole TFO. Returns the number of gates
-/// re-enumerated.
+/// thin cone instead of the whole TFO.
 fn enumerate_changed(
     old: &Mig,
     rc: &mut RewriteCache,
@@ -899,14 +855,13 @@ fn enumerate_changed(
     max_cuts: usize,
     jobs: usize,
     workers: &mut [WorkerScratch],
-) -> usize {
+) {
     let view = old.view();
     let stride = rc.stride;
     let worklist = std::mem::take(&mut rc.worklist);
     let mut batch = std::mem::take(&mut rc.batch);
     rc.changed.clear();
     rc.changed.resize(old.num_nodes(), false);
-    let mut n_enum = 0usize;
     let mut pos = 0;
     while pos < worklist.len() {
         let lvl = view.level_of(NodeId::from_index(worklist[pos] as usize));
@@ -930,7 +885,6 @@ fn enumerate_changed(
                 batch.push(idx);
             }
         }
-        n_enum += batch.len();
         if jobs == 1 || batch.len() < PAR_THRESHOLD {
             let w = &mut workers[0];
             for &idx in &batch {
@@ -1018,7 +972,6 @@ fn enumerate_changed(
     }
     rc.worklist = worklist;
     rc.batch = batch;
-    n_enum
 }
 
 /// Read-only inputs of cut enumeration (shared across worker threads).
@@ -1079,14 +1032,14 @@ fn enumerate_node(ctx: &EnumCtx, idx: usize, k: usize, max_cuts: usize, cand: &m
 /// Phase 1b: refreshes candidate slots. Only nodes whose cut set
 /// changed this sweep, or whose local fanout context moved since they
 /// were last filtered, are revisited — every other node keeps its
-/// (translated) slots. Returns the number of nodes refreshed.
+/// (translated) slots.
 fn evaluate(
     old: &Mig,
     rc: &mut RewriteCache,
     db: &'static MigDatabase,
     jobs: usize,
     workers: &mut [WorkerScratch],
-) -> usize {
+) {
     let first = old.num_inputs() + 1;
     rc.eval_list.clear();
     {
@@ -1157,7 +1110,6 @@ fn evaluate(
             rc.slots[i * MAX_NODE_CANDS..(i + 1) * MAX_NODE_CANDS].copy_from_slice(&slots);
         }
     }
-    n_eval
 }
 
 /// Filters one node list (the body of an evaluate worker): a cut
@@ -1217,8 +1169,6 @@ fn commit(
     bufs: &mut OptBuffers,
     db: &MigDatabase,
     goal: Objective,
-    tiebreak: bool,
-    lm: &mut LevelMap,
 ) -> (Mig, usize) {
     crate::faultpoint!("rewrite.commit");
     let view = old.view();
@@ -1245,23 +1195,14 @@ fn commit(
             rc.map[idx] = hit;
             continue;
         }
-        // Bounded incremental repair: each bind catches the mirror up on
-        // exactly the nodes appended since the last accepted rewrite (or
-        // verbatim copy), so the per-accepted-rewrite level work is the
-        // size of the appended cone, not O(n).
-        lm.bind(&new);
         let default_level = 1 + kids
             .iter()
-            .map(|s| lm.level_of_signal(*s))
+            .map(|s| new.level_of_signal(*s))
             .max()
             .expect("three children");
         // The acceptance threshold is the node's default reconstruction:
-        // gain 0 at `default_level`. Without the tiebreak a candidate
-        // must strictly beat the default on the primary metric alone.
-        let mut threshold = goal.local(0, default_level);
-        if !tiebreak {
-            threshold.tiebreak = i64::MIN;
-        }
+        // gain 0 at `default_level`.
+        let threshold = goal.local(0, default_level);
         let mut plan: Option<(Cut, Npn4Transform, Cost)> = None;
         for si in 0..rc.ncands[idx] as usize {
             let ci = rc.slots[idx * MAX_NODE_CANDS + si] as usize;
@@ -1612,9 +1553,7 @@ fn enumerate_full(mig: &Mig, k: usize, max_cuts: usize, rc: &mut RewriteCache) {
             rc.worklist.push(node.index() as u32);
         }
     }
-    let mut lm = LevelMap::new();
-    lm.bind(mig);
-    sort_worklist_by_level(rc, &lm);
+    sort_worklist_by_level(rc, mig);
     let mut workers = rc.workers.take_n(1);
     enumerate_changed(mig, rc, k, max_cuts, 1, &mut workers);
     rc.workers.put_all(workers);
@@ -1765,9 +1704,8 @@ mod tests {
         let mut bufs = OptBuffers::new();
         let mut rc = RewriteCache::default();
         let config = RewriteConfig::default();
-        let mut lm = LevelMap::new();
-        let first = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc, &mut lm);
-        let second = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc, &mut lm);
+        let first = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc);
+        let second = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc);
         let fresh = optimize_rewrite(&mig, &config);
         for out in [&first, &second] {
             assert_eq!(out.size(), fresh.size());

@@ -25,9 +25,8 @@
 //! selection — the 100k–1M-node large tier ([`LARGE_FLOW`], skipping
 //! the mapping/esat stages that exist for MCNC-scale comparison) — and
 //! serializes its records in a top-level `large` array with wall time
-//! per pass, a memory footprint (arena/strash/cut-cache bytes plus peak
-//! RSS), and the [`mig_core::LevelStats`] counters evidencing bounded
-//! level maintenance. The `suite` field names what ran (`mcnc14`,
+//! per pass and a memory footprint (arena/strash/cut-cache bytes plus
+//! peak RSS). The `suite` field names what ran (`mcnc14`,
 //! `large4` or `mcnc14+large4`); every MCNC-tier field of v6
 //! serializes byte-identically, so the committed trajectory's MCNC
 //! records never regenerate. A pass entry additionally carries an
@@ -81,9 +80,6 @@
 //!       "mem": {"arena_bytes": 1597440, "strash_slots": 262144,
 //!               "strash_bytes": 4194304, "cache_entries": 795656,
 //!               "peak_rss_bytes": 734003200},
-//!       "levels": {"incremental_repairs": 291808,
-//!                  "repaired_nodes": 340756, "nodes_per_repair": 1.17,
-//!                  "global_rebuilds": 11},
 //!       "total_millis": 1060.0
 //!     }
 //!   ],
@@ -117,7 +113,7 @@
 
 use std::fmt::Write as _;
 
-use mig_core::{Flow, LevelStats, Mig, OptContext, PassMetrics, PassReport, RewriteConfig};
+use mig_core::{Flow, Mig, OptContext, PassMetrics, PassReport, RewriteConfig};
 use mig_netlist::Network;
 use mig_techmap::CellLibrary;
 
@@ -308,9 +304,6 @@ pub struct LargeRecord {
     pub size_ok: bool,
     /// Memory footprint after the flow.
     pub mem: MemRecord,
-    /// Level-maintenance counters accumulated over the flow (the
-    /// sub-O(n) evidence; see [`LevelStats::nodes_per_repair`]).
-    pub levels: LevelStats,
     /// Number of degraded (rolled-back / timed-out / skipped) passes.
     pub degraded: usize,
     /// Wall-clock time over all passes (excludes verify).
@@ -623,10 +616,10 @@ fn run_mcnc(
     }
 }
 
-/// Runs one large-tier circuit through `flow`, collecting the ledger,
-/// the level-maintenance counters and the memory footprint. Each record
-/// runs on a fresh context: the previous record's arena pool, rewrite
-/// cache and level mirror are freed before the peak-RSS reset.
+/// Runs one large-tier circuit through `flow`, collecting the ledger
+/// and the memory footprint. Each record runs on a fresh context: the
+/// previous record's arena pool and rewrite cache are freed before the
+/// peak-RSS reset.
 fn run_large(
     name: &str,
     flow: &Flow,
@@ -656,7 +649,6 @@ fn run_large(
         passes: job.passes,
         size_ok,
         mem,
-        levels: ctx.take_level_stats(),
         degraded,
         total_millis,
     }
@@ -838,16 +830,6 @@ pub fn to_json(report: &BenchReport) -> String {
                 l.mem.cache_entries,
                 l.mem.peak_rss_bytes
             );
-            let _ = writeln!(
-                s,
-                "      \"levels\": {{\"incremental_repairs\": {}, \
-                 \"repaired_nodes\": {}, \"nodes_per_repair\": {:.2}, \
-                 \"global_rebuilds\": {}}},",
-                l.levels.incremental_repairs,
-                l.levels.repaired_nodes,
-                l.levels.nodes_per_repair(),
-                l.levels.global_rebuilds
-            );
             let _ = writeln!(s, "      \"total_millis\": {:.2}", l.total_millis);
             s.push_str("    }");
             s.push_str(if i + 1 < report.large.len() {
@@ -935,14 +917,13 @@ fn render_large_lines(s: &mut String, report: &BenchReport) {
         let _ = writeln!(
             s,
             "large {:<9} {:>8} nodes → {:>8} · depth {:>5} → {:>5} · {:>8.0} ms · \
-             {:.2} nodes/repair · peak RSS {:.0} MiB · {}",
+             peak RSS {:.0} MiB · {}",
             l.name,
             l.import.size,
             l.passes.last().map_or(l.import.size, |p| p.after.size),
             l.import.depth,
             l.passes.last().map_or(l.import.depth, |p| p.after.depth),
             l.total_millis,
-            l.levels.nodes_per_repair(),
             l.mem.peak_rss_bytes as f64 / (1024.0 * 1024.0),
             if l.equiv && l.size_ok { "PASS" } else { "FAIL" }
         );

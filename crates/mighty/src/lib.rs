@@ -299,8 +299,8 @@ pub fn run_flow_with(
 /// with a per-stage observer.
 ///
 /// This is the entry point of a `mighty serve` worker: the worker keeps
-/// one context alive across jobs (arena pool, rewrite cache and level
-/// mirror survive, so later jobs skip the warm-up allocations) and
+/// one context alive across jobs (arena pool and rewrite cache survive,
+/// so later jobs skip the warm-up allocations) and
 /// streams every executed stage to the client as it lands in the
 /// wall-time ledger. Context reuse never changes results — caches are
 /// stamp-keyed and arenas wiped on reuse — so the outcome is

@@ -11,8 +11,8 @@
 //!   and the stock cell libraries/match indexes
 //!   ([`mig_techmap::CellLibrary::shared_by_name`]) are build-once
 //!   process-global values, pre-warmed at server start;
-//! - every worker owns one persistent [`OptContext`] — arena pool,
-//!   rewrite cache, level mirror — that survives across jobs (context
+//! - every worker owns one persistent [`OptContext`] — arena pool and
+//!   rewrite cache — that survives across jobs (context
 //!   reuse never changes results; see `run_flow_session`);
 //! - a bounded LRU result cache keyed by (canonical netlist content
 //!   hash, flow script, effort) returns verified results without

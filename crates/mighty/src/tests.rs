@@ -256,8 +256,6 @@ fn large_tier_records_scaling_evidence() {
         "\"large\": [",
         "\"mem\": {\"arena_bytes\": ",
         "\"peak_rss_bytes\": ",
-        "\"levels\": {\"incremental_repairs\": ",
-        "\"nodes_per_repair\": ",
     ] {
         assert!(json.contains(field), "missing {field} in:\n{json}");
     }

@@ -1199,14 +1199,6 @@ impl TechMapper {
         }
     }
 
-    /// A mapper with an explicit configuration.
-    pub fn with_config(library: impl Into<Arc<CellLibrary>>, config: MapConfig) -> Self {
-        TechMapper {
-            library: library.into(),
-            config,
-        }
-    }
-
     /// The library this mapper targets.
     pub fn library(&self) -> &CellLibrary {
         &self.library

@@ -107,20 +107,6 @@ impl TruthTable {
         t
     }
 
-    /// Builds a table from raw words (little-endian bit order).
-    ///
-    /// Extra high bits beyond `2^num_vars` are masked off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len()` does not match the required word count.
-    pub fn from_words(num_vars: usize, words: Vec<u64>) -> Self {
-        assert_eq!(words.len(), word_count(num_vars), "wrong word count");
-        let mut t = TruthTable { num_vars, words };
-        t.mask_off();
-        t
-    }
-
     /// Builds a ≤ 6-variable table from a single word.
     pub fn from_u64(num_vars: usize, bits: u64) -> Self {
         assert!(num_vars <= 6);

@@ -1,16 +1,16 @@
 //! Property tests for the flow-script layer: the parser round-trips on
 //! generated scripts, and every canned flow (plus randomized ones) is a
 //! semantics-preserving transformation on a SplitMix64 netlist corpus,
-//! bit-identically for any `--jobs` setting, with the incremental level
-//! mirror equal to a from-scratch recomputation after every pass. A
+//! bit-identically for any `--jobs` setting, with the arena's node
+//! levels equal to a from-scratch recomputation after every pass. A
 //! `pass*n` step stops executing once a run returns its input unchanged
 //! and records the remaining repetitions as copies.
 
 use mig_suite::benchgen::{layered_random, RandomLogicParams};
 use mig_suite::mig::opt::pipeline::CONVERGE_CAP;
 use mig_suite::mig::{
-    Budget, Flow, FlowStep, LevelMap, Mig, OptContext, PassKind, PassMetrics, PassOutcome,
-    PassReport, Repeat, Signal,
+    Budget, Flow, FlowStep, Mig, OptContext, PassKind, PassMetrics, PassOutcome, PassReport,
+    Repeat, Signal,
 };
 use mig_suite::netlist::SplitMix64;
 
@@ -110,9 +110,9 @@ fn assert_bit_identical(a: &Mig, b: &Mig, what: &str) {
     assert_eq!(a.outputs(), b.outputs(), "{what}: outputs differ");
 }
 
-/// Asserts the mirror, freshly bound to `mig`, holds exactly the levels
-/// and depth recomputed from the children.
-fn assert_levels_exact(mirror: &mut LevelMap, mig: &Mig, what: &str) {
+/// Asserts every arena level of `mig` and its memoized depth equal a
+/// from-scratch recomputation from the children.
+fn assert_levels_exact(mig: &Mig, what: &str) {
     let mut fresh = vec![0u32; mig.num_nodes()];
     for node in mig.gate_ids() {
         fresh[node.index()] = 1 + mig
@@ -122,26 +122,28 @@ fn assert_levels_exact(mirror: &mut LevelMap, mig: &Mig, what: &str) {
             .max()
             .expect("three children");
     }
-    assert_eq!(mirror.levels(), fresh.as_slice(), "{what}: node levels");
+    for node in mig.gate_ids() {
+        assert_eq!(
+            mig.level_of(node),
+            fresh[node.index()],
+            "{what}: level of {node}"
+        );
+    }
     let depth = mig
         .outputs()
         .iter()
         .map(|&(_, s)| fresh[s.node().index()])
         .max()
         .unwrap_or(0);
-    assert_eq!(mirror.depth(mig), depth, "{what}: depth");
+    assert_eq!(mig.depth(), depth, "{what}: depth");
 }
 
-/// Binds `mirror` to a pass result and checks it, then checks it again
-/// after growing a copy of that result. Every pass hands back a
-/// compacted arena with a fresh generation, so the first bind is a
-/// global resync; appending a chain of majority nodes over the outputs
-/// makes the second bind an incremental catch-up on the same real graph.
-fn check_mirror_after_pass(mirror: &mut LevelMap, out: &Mig, what: &str) {
-    mirror.bind(out);
-    assert_levels_exact(mirror, out, what);
+/// Checks the levels of a pass result, then checks them again on a
+/// copy grown by a chain of majority nodes over the outputs, so the
+/// appended nodes and the stale depth memo are covered too.
+fn check_levels_after_pass(out: &Mig, what: &str) {
+    assert_levels_exact(out, what);
     let mut grown = out.clone();
-    mirror.bind(&grown);
     let outs: Vec<Signal> = grown.outputs().iter().map(|&(_, s)| s).collect();
     let mut acc = grown.input(0);
     for (i, &o) in outs.iter().enumerate() {
@@ -149,8 +151,7 @@ fn check_mirror_after_pass(mirror: &mut LevelMap, out: &Mig, what: &str) {
         acc = grown.maj(acc, !o, x);
     }
     grown.add_output("shadow", acc);
-    mirror.bind(&grown);
-    assert_levels_exact(mirror, &grown, &format!("{what}, grown"));
+    assert_levels_exact(&grown, &format!("{what}, grown"));
 }
 
 /// Asserts a pass ended [`PassOutcome::Completed`]. Debug builds
@@ -167,10 +168,9 @@ fn assert_completed(report: &PassReport, what: &str) {
 }
 
 /// Runs `flow` at effort 1 pass by pass through [`OptContext::run_pass`],
-/// exactly as [`Flow::run`] sequences it, and shadow-checks one
-/// [`LevelMap`] after every pass.
+/// exactly as [`Flow::run`] sequences it, and shadow-checks the node
+/// levels after every pass.
 fn run_with_level_shadow(flow: &Flow, mig: Mig, ctx: &mut OptContext, what: &str) -> Mig {
-    let mut mirror = LevelMap::new();
     let mut cur = mig;
     ctx.begin_run();
     for step in &flow.steps {
@@ -181,11 +181,7 @@ fn run_with_level_shadow(flow: &Flow, mig: Mig, ctx: &mut OptContext, what: &str
         };
         for run in 0..runs {
             cur = ctx.run_pass(&*pass, cur);
-            check_mirror_after_pass(
-                &mut mirror,
-                &cur,
-                &format!("{what}, {} run {run}", step.pass),
-            );
+            check_levels_after_pass(&cur, &format!("{what}, {} run {run}", step.pass));
             let report = ctx.ledger().last().expect("run_pass appends");
             assert_completed(report, &format!("{what}, {} run {run}", step.pass));
             if step.repeat == Repeat::Converge && !pass.improved(&report.before, &report.after) {
@@ -201,8 +197,8 @@ fn canned_and_random_flows_preserve_semantics_at_any_job_count() {
     // Every flow the legacy `--target`/`--rewrite` aliases resolve to,
     // plus 3 randomized flows: on the whole corpus the result must stay
     // equivalent to the input and be bit-identical between jobs=1 and
-    // jobs=4. The jobs=1 run is stepped pass by pass with the level
-    // mirror shadow-checked after every pass.
+    // jobs=4. The jobs=1 run is stepped pass by pass with the node
+    // levels shadow-checked after every pass.
     let mut scripts: Vec<String> = mig_mighty::TARGET_FLOWS
         .iter()
         .map(|&(_, _, script)| script.to_string())
