@@ -114,14 +114,6 @@ pub fn generate(name: &str) -> Option<Network> {
     })
 }
 
-/// Generates the full 14-circuit suite in Table I order.
-pub fn mcnc_suite() -> Vec<Network> {
-    MCNC_NAMES
-        .iter()
-        .map(|n| generate(n).expect("all names are known"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,8 +158,10 @@ mod tests {
         // Paper: "ranging from 0.1k to 15k nodes" (post-optimization).
         // Unoptimized primitive counts run a bit larger; check the suite
         // spans two orders of magnitude.
-        let suite = mcnc_suite();
-        let sizes: Vec<usize> = suite.iter().map(|n| n.num_logic_gates()).collect();
+        let sizes: Vec<usize> = MCNC_NAMES
+            .iter()
+            .map(|n| generate(n).expect("all names are known").num_logic_gates())
+            .collect();
         let min = *sizes.iter().min().expect("non-empty");
         let max = *sizes.iter().max().expect("non-empty");
         assert!(min >= 40, "smallest {min}");

@@ -749,53 +749,6 @@ impl Mig {
     pub fn switching_activity_uniform(&self) -> f64 {
         self.switching_activity(&vec![0.5; self.num_inputs])
     }
-
-    /// A stable 64-bit structural fingerprint of the reachable graph,
-    /// built from the same splitmix64 primitives as
-    /// [`mig_netlist::Network::content_hash`].
-    ///
-    /// Majority fanins fold commutatively (majority is symmetric and
-    /// fanin storage order depends on arena node ids, which depend on
-    /// insertion history), primary inputs hash from their declared
-    /// names, outputs fold commutatively over (name, cone) pairs, and
-    /// dead nodes never contribute — so `mig.content_hash()` equals
-    /// `mig.cleanup().content_hash()` and is independent of the order
-    /// in which an equivalent graph was constructed. The module name is
-    /// excluded (renaming a design does not change its content).
-    pub fn content_hash(&self) -> u64 {
-        use mig_netlist::content_hash::{hash_str, mix64};
-        const SEED_CONST: u64 = 0x1234_5678_9ABC_DEF1;
-        const SEED_INPUT: u64 = 0x9E37_79B9_7F4A_7C15;
-        const SEED_GATE: u64 = 0xC2B2_AE3D_27D4_EB4F;
-        const SEED_OUTPUT: u64 = 0x1656_67B1_9E37_79F9;
-        const SEED_COMPL: u64 = 0x0DD0_0DD0_0DD0_0DD0;
-
-        let mut node_hash: Vec<u64> = Vec::with_capacity(self.children.len());
-        node_hash.push(mix64(SEED_CONST));
-        for name in &self.input_names {
-            node_hash.push(mix64(SEED_INPUT ^ hash_str(name)));
-        }
-        let signal_hash = |node_hash: &[u64], s: Signal| {
-            let compl_seed = if s.is_complemented() { SEED_COMPL } else { 0 };
-            mix64(node_hash[s.node().index()] ^ compl_seed)
-        };
-        for kids in self.children.iter().skip(self.num_inputs + 1) {
-            let folded = kids
-                .iter()
-                .fold(0u64, |acc, &s| acc.wrapping_add(signal_hash(&node_hash, s)));
-            node_hash.push(mix64(SEED_GATE ^ folded));
-        }
-        let mut acc: u64 = 0;
-        for name in &self.input_names {
-            acc = acc.wrapping_add(mix64(SEED_INPUT ^ hash_str(name)));
-        }
-        for (name, s) in &self.outputs {
-            acc = acc.wrapping_add(mix64(
-                SEED_OUTPUT ^ hash_str(name) ^ signal_hash(&node_hash, *s).rotate_left(17),
-            ));
-        }
-        mix64(acc ^ mix64(self.num_inputs as u64) ^ self.outputs.len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -958,41 +911,6 @@ mod tests {
         let total = mig.switching_activity(&[0.5, 0.1, 0.1, 0.1]);
         // Exact: 0.0272 + 0.0599 ≈ 0.087 (the paper rounds to 0.03 + 0.06).
         assert!((total - 0.087).abs() < 1e-2, "total = {total}");
-    }
-
-    #[test]
-    fn content_hash_is_structural() {
-        let (mut mig, a, b, c) = three_inputs();
-        let m = mig.maj(a, b, c);
-        let n = mig.and(m, c);
-        mig.add_output("y", n);
-        let base = mig.content_hash();
-
-        // Same circuit built in a different construction order (the AND's
-        // strash key folds in before the top majority exists).
-        let mut other = Mig::new("renamed");
-        let a2 = other.add_input("a");
-        let b2 = other.add_input("b");
-        let c2 = other.add_input("c");
-        let _dead = other.and(a2, c2);
-        let m2 = other.maj(a2, b2, c2);
-        let n2 = other.and(m2, c2);
-        other.add_output("y", n2);
-        assert_eq!(base, other.content_hash(), "order/name/dead-node blind");
-        assert_eq!(base, other.cleanup().content_hash(), "cleanup-stable");
-
-        // Mutations move the hash.
-        let mut flipped = mig.clone();
-        flipped.set_output(0, !n);
-        assert_ne!(base, flipped.content_hash(), "output polarity counts");
-        let mut rewired = Mig::new("t");
-        let a3 = rewired.add_input("a");
-        let b3 = rewired.add_input("b");
-        let c3 = rewired.add_input("c");
-        let m3 = rewired.maj(a3, b3, c3);
-        let n3 = rewired.and(m3, b3);
-        rewired.add_output("y", n3);
-        assert_ne!(base, rewired.content_hash(), "rewired fanin counts");
     }
 
     #[test]

@@ -32,11 +32,9 @@
 //! records never regenerate. A pass entry additionally carries an
 //! `"outcome"` key when — and only when — the pass manager degraded it
 //! (`rolled_back` / `timed_out` / `skipped`), so a healthy run's JSON
-//! carries no outcome noise; v8 adds the optional top-level `serve`
-//! block — the `mighty serve --bench` load sweep with jobs/sec and
-//! p50/p95/p99 latency per worker count — placed, like `large`,
-//! immediately before `totals` so volatile timings strip with a
-//! line-range delete):
+//! carries no outcome noise; v8 allowed an optional top-level `serve`
+//! block, which nothing writes any more — the server is measured by
+//! the benchmark package's `serve_mix` workload):
 //!
 //! ```json
 //! {
@@ -117,7 +115,6 @@ use mig_core::{Flow, Mig, OptContext, PassMetrics, PassReport, RewriteConfig};
 use mig_netlist::Network;
 use mig_techmap::CellLibrary;
 
-use crate::serve::SweepResult;
 use crate::{map_verified, optimize, RunOptions};
 
 /// The canonical default flow: the v3 harness's fixed size → rewrite →
@@ -281,7 +278,7 @@ pub struct MemRecord {
 }
 
 /// Full record for one large-tier circuit: the flow ledger plus the
-/// scaling evidence (memory footprint and level-maintenance counters).
+/// scaling evidence (its memory footprint).
 /// Mapping and the esat head-to-head — MCNC-scale comparisons — are
 /// deliberately absent.
 #[derive(Debug, Clone)]
@@ -367,20 +364,6 @@ pub struct BenchReport {
     /// One record per large-tier circuit, in run order (empty unless
     /// the `large` or `all` suite was selected).
     pub large: Vec<LargeRecord>,
-    /// Service-throughput sweep (`mighty serve --bench`), when one ran.
-    pub serve: Option<ServeReport>,
-}
-
-/// The serve-bench block of the v8 schema: the flow/effort every job
-/// ran, plus one [`SweepResult`] per worker count.
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// Flow script every job executed.
-    pub flow: String,
-    /// Per-pass effort every job used.
-    pub effort: usize,
-    /// One entry per worker count, in sweep order.
-    pub sweeps: Vec<SweepResult>,
 }
 
 impl BenchReport {
@@ -708,7 +691,6 @@ pub fn run_suite(config: &BenchConfig) -> BenchReport {
         threads,
         benchmarks,
         large,
-        serve: None,
     }
 }
 
@@ -840,13 +822,6 @@ pub fn to_json(report: &BenchReport) -> String {
         }
         s.push_str("  ],\n");
     }
-    // Like `large`, the serve sweep is a self-contained top-level block
-    // immediately before `totals`, so the CI bit-identity gates can
-    // strip it with a line-range delete (throughput and latency are
-    // machine-volatile).
-    if let Some(serve) = &report.serve {
-        s.push_str(&serve_block_json(serve));
-    }
     let size_before: usize = report.benchmarks.iter().map(|b| b.import.size).sum();
     let size_after: usize = report
         .benchmarks
@@ -870,45 +845,6 @@ pub fn to_json(report: &BenchReport) -> String {
     }
     let _ = writeln!(s, "    \"all_ok\": {}", report.all_ok());
     s.push_str("  }\n}\n");
-    s
-}
-
-/// Renders the `"serve"` block of the v8 schema (the lines between the
-/// benchmark/large arrays and `"totals"`), trailing comma included.
-///
-/// Public so `mighty serve --bench` can splice a fresh sweep into an
-/// existing `BENCH_opt.json` textually — replacing the old block in
-/// place keeps every other byte of the committed trajectory intact.
-pub fn serve_block_json(serve: &ServeReport) -> String {
-    let mut s = String::new();
-    s.push_str("  \"serve\": {\n");
-    let _ = writeln!(s, "    \"flow\": \"{}\",", serve.flow);
-    let _ = writeln!(s, "    \"effort\": {},", serve.effort);
-    s.push_str("    \"sweeps\": [\n");
-    for (i, r) in serve.sweeps.iter().enumerate() {
-        let _ = write!(
-            s,
-            "      {{\"workers\": {}, \"clients\": {}, \"jobs\": {}, \
-             \"jobs_per_sec\": {:.2}, \"p50_ms\": {:.2}, \"p95_ms\": {:.2}, \
-             \"p99_ms\": {:.2}, \"verified\": {}, \"bit_identical\": {}}}",
-            r.workers,
-            r.clients,
-            r.jobs,
-            r.jobs_per_sec,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.verified,
-            r.bit_identical
-        );
-        s.push_str(if i + 1 < serve.sweeps.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
     s
 }
 

@@ -8,8 +8,6 @@
 //! mighty bench [BENCH]... [--quick] [--flow SCRIPT] [--effort N]
 //!              [--rounds N] [--jobs N] [-o FILE]
 //! mighty serve [--listen ADDR] [--workers N] [--cache N] [--drain-ms N]
-//! mighty serve --bench [--quick] [--clients N] [--workers N]
-//!              [--flow SCRIPT] [--effort N] [-o FILE]
 //! mighty stats [INPUT]...
 //! mighty gen BENCH [-o FILE]
 //! mighty equiv A B [--rounds N]
@@ -110,9 +108,9 @@ USAGE:
                                         suite (default: mcnc; the large tier
                                         runs 100k-1M-node circuits through
                                         size*2; rewrite; depth_rewrite; depth
-                                        and records memory footprint plus
-                                        level-maintenance counters; --quick
-                                        keeps only mul_100k of the tier);
+                                        and records its memory footprint;
+                                        --quick keeps only mul_100k of the
+                                        tier);
                                         writes the mig-bench/v8 JSON perf
                                         trajectory with mapped
                                         area/delay/power on both stock
@@ -132,16 +130,6 @@ USAGE:
                                         SIGTERM/ctrl-c or {\"op\":\"shutdown\"}
                                         drains in-flight jobs within
                                         --drain-ms and exits 0
-    mighty serve --bench [--quick] [--clients N] [--workers N]
-                 [--flow SCRIPT] [--effort N] [-o FILE]
-                                        load generator: sweeps the worker
-                                        pool over {1, 2, 4} (or just
-                                        --workers N), measures jobs/sec and
-                                        p50/p95/p99 latency, verifies every
-                                        response and checks it bit-identical
-                                        to a local `mighty opt`; splices the
-                                        sweep into FILE's serve block
-                                        (default: BENCH_opt.json)
     mighty stats [INPUT]...             print circuit statistics
     mighty gen BENCH [-o FILE]          emit a generated benchmark as Verilog
     mighty gen --list                   list every generatable circuit (MCNC
@@ -200,8 +188,6 @@ struct Args {
     workers: Option<usize>,
     cache: Option<usize>,
     drain_ms: Option<u64>,
-    bench_load: bool,
-    clients: Option<usize>,
     help: bool,
 }
 
@@ -259,9 +245,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--workers" => args.workers = Some(number("--workers", value(a)?)?),
             "--cache" => args.cache = Some(number("--cache", value(a)?)?),
             "--drain-ms" => args.drain_ms = Some(number("--drain-ms", value(a)?)?),
-            "--bench" => args.bench_load = true,
             "--help" | "-h" => args.help = true,
-            "--clients" => args.clients = Some(number::<usize>("--clients", value(a)?)?.max(1)),
             flag if flag.starts_with('-') && flag != "-" => {
                 return Err(format!("unknown flag `{flag}`"));
             }
@@ -483,9 +467,6 @@ fn cmd_equiv(args: &Args) -> Result<u8, Failure> {
 
 fn cmd_serve(args: &Args) -> Result<u8, Failure> {
     use mig_mighty::serve;
-    if args.bench_load {
-        return cmd_serve_bench(args);
-    }
     let workers = args.workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -516,93 +497,6 @@ fn cmd_serve(args: &Args) -> Result<u8, Failure> {
             "drain deadline expired with jobs still in flight",
         ))
     }
-}
-
-fn cmd_serve_bench(args: &Args) -> Result<u8, Failure> {
-    use mig_mighty::serve;
-    let mut cfg = if args.quick {
-        serve::LoadConfig::quick()
-    } else {
-        serve::LoadConfig::full()
-    };
-    if let Some(clients) = args.clients {
-        cfg.clients = clients;
-    }
-    if let Some(script) = &args.flow {
-        Flow::parse(script).map_err(Failure::usage)?;
-        cfg.flow = script.clone();
-    }
-    if let Some(effort) = args.effort {
-        cfg.effort = effort.max(1);
-    }
-    if let Some(workers) = args.workers {
-        cfg.workers_sweep = vec![workers.max(1)];
-    }
-    let sweeps = serve::run_load(&cfg).map_err(Failure::generic)?;
-    print!("{}", serve::render_load_table(&sweeps));
-    let ok = sweeps.iter().all(|r| r.verified && r.bit_identical);
-    let report = bench::ServeReport {
-        flow: cfg.flow,
-        effort: cfg.effort,
-        sweeps,
-    };
-    let path = args.output.as_deref().unwrap_or("BENCH_opt.json");
-    if path == "-" {
-        print!("{}", bench::serve_block_json(&report));
-    } else {
-        splice_serve_block(path, &report)?;
-        println!("updated {path}");
-    }
-    if ok {
-        Ok(EXIT_OK)
-    } else {
-        Ok(EXIT_EQUIV)
-    }
-}
-
-/// Splices a fresh `"serve"` block into an existing `BENCH_opt.json`:
-/// removes any previous block, inserts the new one immediately before
-/// `"totals"`, and upgrades a pre-v8 schema line. Textual surgery on
-/// purpose — every byte of the committed MCNC trajectory outside the
-/// block stays identical.
-fn splice_serve_block(path: &str, report: &bench::ServeReport) -> Result<(), Failure> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        Failure::generic(format!(
-            "reading `{path}`: {e} (run `mighty bench` first to create it)"
-        ))
-    })?;
-    let mut lines: Vec<&str> = text.lines().collect();
-    if let Some(start) = lines
-        .iter()
-        .position(|l| l.trim_start().starts_with("\"serve\": {"))
-    {
-        let end = lines[start..]
-            .iter()
-            .position(|l| *l == "  },")
-            .map(|off| start + off)
-            .ok_or_else(|| Failure::generic(format!("`{path}`: unterminated serve block")))?;
-        lines.drain(start..=end);
-    }
-    let totals = lines
-        .iter()
-        .position(|l| l.trim_start().starts_with("\"totals\": {"))
-        .ok_or_else(|| {
-            Failure::generic(format!("`{path}`: no totals block — not a mig-bench file"))
-        })?;
-    let block = bench::serve_block_json(report);
-    let mut out = String::new();
-    for (i, line) in lines.iter().enumerate() {
-        if i == totals {
-            out.push_str(&block);
-        }
-        if line.contains("\"schema\": \"mig-bench/v7\"") {
-            out.push_str("  \"schema\": \"mig-bench/v8\",\n");
-        } else {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    std::fs::write(path, out).map_err(|e| Failure::generic(format!("writing `{path}`: {e}")))
 }
 
 fn run() -> Result<u8, Failure> {

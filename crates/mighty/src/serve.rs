@@ -900,263 +900,6 @@ pub fn install_signal_handlers() {
 #[cfg(not(unix))]
 pub fn install_signal_handlers() {}
 
-// ---------------------------------------------------------------------------
-// Load generator (`mighty serve --bench`)
-// ---------------------------------------------------------------------------
-
-/// Load-generator configuration.
-#[derive(Debug, Clone)]
-pub struct LoadConfig {
-    /// Worker counts to sweep (the trajectory uses {1, 2, 4}).
-    pub workers_sweep: Vec<usize>,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Jobs each client submits.
-    pub jobs_per_client: usize,
-    /// Flow script every job runs.
-    pub flow: String,
-    /// Per-pass effort.
-    pub effort: usize,
-    /// Benchmark names the jobs cycle through.
-    pub corpus: Vec<String>,
-}
-
-impl LoadConfig {
-    /// The quick sweep CI runs: small MCNC circuits, a light flow.
-    pub fn quick() -> Self {
-        LoadConfig {
-            workers_sweep: vec![1, 2, 4],
-            clients: 4,
-            jobs_per_client: 4,
-            flow: "size; rewrite".to_string(),
-            effort: 1,
-            corpus: ["my_adder", "count", "b9", "cla", "mm30a"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        }
-    }
-
-    /// The full sweep behind the committed trajectory numbers.
-    pub fn full() -> Self {
-        LoadConfig {
-            clients: 8,
-            jobs_per_client: 8,
-            ..Self::quick()
-        }
-    }
-}
-
-/// Measured results of one worker-count sweep.
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    /// Worker threads the server ran.
-    pub workers: usize,
-    /// Concurrent clients.
-    pub clients: usize,
-    /// Total jobs completed.
-    pub jobs: usize,
-    /// End-to-end wall time of the sweep in milliseconds.
-    pub total_ms: f64,
-    /// Completed jobs per second.
-    pub jobs_per_sec: f64,
-    /// Median per-job latency (client-observed), milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// All responses verified (both equivalence checks passed).
-    pub verified: bool,
-    /// All responses bit-identical to a local `mighty opt` run of the
-    /// same netlist/flow/effort.
-    pub bit_identical: bool,
-}
-
-/// Runs the load sweep: for each worker count, starts an in-process
-/// server (result cache disabled so throughput measures real work),
-/// hammers it with `clients` concurrent connections, and checks every
-/// response against a locally computed reference (equivalence verdicts
-/// plus bit-identical Verilog).
-pub fn run_load(cfg: &LoadConfig) -> Result<Vec<SweepResult>, String> {
-    // Reference results, computed once per corpus entry through the
-    // exact `mighty opt` code path (fresh context, jobs = 1).
-    let flow = Flow::parse(&cfg.flow).map_err(|e| format!("flow: {e}"))?;
-    let mut reference: HashMap<String, String> = HashMap::new();
-    for name in &cfg.corpus {
-        let net = mig_benchgen::generate(name)
-            .ok_or_else(|| format!("unknown corpus benchmark `{name}`"))?;
-        let outcome = crate::run_flow_with(&net, &flow, cfg.effort, 16, 1, &RunOptions::default());
-        if !outcome.mig_equiv || !outcome.net_equiv {
-            return Err(format!("reference run for `{name}` failed verification"));
-        }
-        reference.insert(name.clone(), write_verilog(&outcome.optimized));
-    }
-    let reference = Arc::new(reference);
-
-    let mut sweeps = Vec::new();
-    for &workers in &cfg.workers_sweep {
-        let server = Server::start(&ServeConfig {
-            listen: "127.0.0.1:0".to_string(),
-            workers,
-            cache_capacity: 0,
-            drain_ms: 60_000,
-        })?;
-        let addr = server.addr();
-        let start = Instant::now();
-        let mut handles = Vec::new();
-        for c in 0..cfg.clients {
-            let corpus = cfg.corpus.clone();
-            let flow = cfg.flow.clone();
-            let reference = Arc::clone(&reference);
-            let jobs = cfg.jobs_per_client;
-            let effort = cfg.effort;
-            handles.push(thread::spawn(move || {
-                client_run(addr, c, &corpus, &flow, effort, jobs, &reference)
-            }));
-        }
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut verified = true;
-        let mut bit_identical = true;
-        for h in handles {
-            let r = h
-                .join()
-                .map_err(|_| "client thread panicked".to_string())??;
-            latencies.extend(r.latencies_ms);
-            verified &= r.verified;
-            bit_identical &= r.bit_identical;
-        }
-        let total_ms = start.elapsed().as_secs_f64() * 1e3;
-        server.shutdown();
-        if !server.wait() {
-            return Err("server failed to drain after sweep".to_string());
-        }
-
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let pct = |p: f64| -> f64 {
-            if latencies.is_empty() {
-                return 0.0;
-            }
-            let rank = ((p / 100.0) * latencies.len() as f64).ceil() as usize;
-            latencies[rank.clamp(1, latencies.len()) - 1]
-        };
-        let jobs = cfg.clients * cfg.jobs_per_client;
-        sweeps.push(SweepResult {
-            workers,
-            clients: cfg.clients,
-            jobs,
-            total_ms,
-            jobs_per_sec: jobs as f64 / (total_ms / 1e3),
-            p50_ms: pct(50.0),
-            p95_ms: pct(95.0),
-            p99_ms: pct(99.0),
-            verified,
-            bit_identical,
-        });
-    }
-    Ok(sweeps)
-}
-
-struct ClientResult {
-    latencies_ms: Vec<f64>,
-    verified: bool,
-    bit_identical: bool,
-}
-
-/// One load-generator client: a connection submitting jobs serially and
-/// validating each response.
-fn client_run(
-    addr: SocketAddr,
-    client_index: usize,
-    corpus: &[String],
-    flow: &str,
-    effort: usize,
-    jobs: usize,
-    reference: &HashMap<String, String>,
-) -> Result<ClientResult, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut writer = BufWriter::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut reader = BufReader::new(stream);
-    let mut result = ClientResult {
-        latencies_ms: Vec::with_capacity(jobs),
-        verified: true,
-        bit_identical: true,
-    };
-    for j in 0..jobs {
-        let name = &corpus[(client_index * jobs + j) % corpus.len()];
-        let sent = Instant::now();
-        writeln!(
-            writer,
-            "{{\"id\": {j}, \"netlist\": \"{}\", \"flow\": \"{}\", \"effort\": {effort}}}",
-            escape_str(name),
-            escape_str(flow),
-        )
-        .map_err(|e| format!("send: {e}"))?;
-        writer.flush().map_err(|e| format!("flush: {e}"))?;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = reader
-                .read_line(&mut line)
-                .map_err(|e| format!("recv: {e}"))?;
-            if n == 0 {
-                return Err("server closed the connection mid-job".to_string());
-            }
-            let v = Json::parse(&line)?;
-            match v.get_str("type") {
-                Some("progress") => continue,
-                Some("result") => {
-                    result.latencies_ms.push(sent.elapsed().as_secs_f64() * 1e3);
-                    if v.get_num("exit_code") != Some(0.0)
-                        || v.get_bool("mig_equiv") != Some(true)
-                        || v.get_bool("net_equiv") != Some(true)
-                    {
-                        result.verified = false;
-                    }
-                    if v.get_str("verilog") != reference.get(name).map(String::as_str) {
-                        result.bit_identical = false;
-                    }
-                    break;
-                }
-                _ => return Err(format!("unexpected response: {line}")),
-            }
-        }
-    }
-    Ok(result)
-}
-
-/// Renders the human-readable load-sweep table.
-pub fn render_load_table(sweeps: &[SweepResult]) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{:<8} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9} {:>9} {:>13}\n",
-        "workers",
-        "clients",
-        "jobs",
-        "jobs/sec",
-        "p50 ms",
-        "p95 ms",
-        "p99 ms",
-        "verified",
-        "bit-identical"
-    ));
-    for r in sweeps {
-        s.push_str(&format!(
-            "{:<8} {:>8} {:>6} {:>10.2} {:>9.1} {:>9.1} {:>9.1} {:>9} {:>13}\n",
-            r.workers,
-            r.clients,
-            r.jobs,
-            r.jobs_per_sec,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            if r.verified { "PASS" } else { "FAIL" },
-            if r.bit_identical { "PASS" } else { "FAIL" },
-        ));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

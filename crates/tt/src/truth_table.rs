@@ -308,23 +308,6 @@ impl TruthTable {
         (0..self.num_vars).filter(|&v| self.depends_on(v)).collect()
     }
 
-    /// Returns the same function expressed over `new_num_vars ≥ num_vars`
-    /// variables (the added variables are don't-care / unused).
-    pub fn extend_to(&self, new_num_vars: usize) -> Self {
-        assert!(new_num_vars >= self.num_vars && new_num_vars <= MAX_VARS);
-        if new_num_vars == self.num_vars {
-            return self.clone();
-        }
-        let mut t = Self::zeros(new_num_vars);
-        let old_bits = self.num_bits();
-        for i in 0..t.num_bits() {
-            if self.get_bit(i % old_bits) {
-                t.set_bit(i, true);
-            }
-        }
-        t
-    }
-
     /// Returns the function with its variables renamed: new variable `i`
     /// takes the role of old variable `perm[i]`.
     ///
@@ -370,36 +353,6 @@ impl TruthTable {
         }
         t.mask_off();
         t
-    }
-
-    /// Composes this function with the given argument functions: the result
-    /// is `self(args[0], args[1], ...)`. All argument tables must share a
-    /// variable count, which becomes the variable count of the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `args.len() != num_vars` or argument var counts differ.
-    pub fn compose(&self, args: &[TruthTable]) -> TruthTable {
-        assert_eq!(args.len(), self.num_vars, "need one argument per variable");
-        let out_vars = args.first().map_or(0, |a| a.num_vars());
-        assert!(args.iter().all(|a| a.num_vars() == out_vars));
-        let mut acc = TruthTable::zeros(out_vars);
-        // Shannon expansion over the rows of `self`.
-        for row in 0..self.num_bits() {
-            if !self.get_bit(row) {
-                continue;
-            }
-            let mut minterm = TruthTable::ones(out_vars);
-            for (v, arg) in args.iter().enumerate() {
-                if (row >> v) & 1 == 1 {
-                    minterm = minterm.and(arg);
-                } else {
-                    minterm = minterm.and(&arg.not());
-                }
-            }
-            acc = acc.or(&minterm);
-        }
-        acc
     }
 }
 
@@ -536,27 +489,6 @@ mod tests {
         assert_eq!(b.flip_var(6), b.not());
         let f = TruthTable::var(0, 7).and(&b);
         assert_eq!(f.flip_var(6), TruthTable::var(0, 7).and(&b.not()));
-    }
-
-    #[test]
-    fn extend_keeps_function() {
-        let a = TruthTable::var(0, 2).xor(&TruthTable::var(1, 2));
-        let e = a.extend_to(4);
-        assert_eq!(e.support(), vec![0, 1]);
-        for i in 0..16 {
-            assert_eq!(e.get_bit(i), a.get_bit(i & 3));
-        }
-    }
-
-    #[test]
-    fn compose_applies_arguments() {
-        // f(x0,x1) = x0 & x1, args: x0 := a^b, x1 := c
-        let f = TruthTable::var(0, 2).and(&TruthTable::var(1, 2));
-        let a = TruthTable::var(0, 3);
-        let b = TruthTable::var(1, 3);
-        let c = TruthTable::var(2, 3);
-        let g = f.compose(&[a.xor(&b), c.clone()]);
-        assert_eq!(g, a.xor(&b).and(&c));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use mig_core::Flow;
 use mig_mighty::json::{escape_str, Json};
-use mig_mighty::serve::{LoadConfig, ServeConfig, Server, MAX_REQUEST_LINE};
+use mig_mighty::serve::{ServeConfig, Server, MAX_REQUEST_LINE};
 use mig_mighty::{run_flow_with, RunOptions};
 use mig_netlist::write_verilog;
 
@@ -88,26 +88,34 @@ fn served_results_are_bit_identical_to_cli_across_concurrent_clients() {
         .map(|(name, flow)| (*name, reference_verilog(name, flow, 1)))
         .collect();
 
-    let server = start(2, 16);
+    // The cache is off, so every job is computed again on a worker
+    // context that earlier jobs already used.
+    let server = start(2, 0);
     let addr = server.addr();
     let mut handles = Vec::new();
-    for (name, flow) in jobs {
-        let expected = reference[name].clone();
+    for i in 0..jobs.len() {
+        // Each connection sends two different jobs in sequence.
+        let sequence = [jobs[i], jobs[(i + 1) % jobs.len()]];
+        let reference = reference.clone();
         handles.push(thread::spawn(move || {
             let mut client = Client::connect(addr);
-            client.send(&format!(
-                "{{\"id\": 1, \"netlist\": \"{name}\", \"flow\": \"{flow}\", \"effort\": 1}}"
-            ));
-            let v = client.recv_final();
-            assert_eq!(v.get_str("type"), Some("result"), "{name}");
-            assert_eq!(v.get_num("exit_code"), Some(0.0), "{name}");
-            assert_eq!(v.get_bool("mig_equiv"), Some(true), "{name}");
-            assert_eq!(v.get_bool("net_equiv"), Some(true), "{name}");
-            assert_eq!(
-                v.get_str("verilog"),
-                Some(expected.as_str()),
-                "{name}: served result differs from `mighty opt`"
-            );
+            for (id, (name, flow)) in sequence.into_iter().enumerate() {
+                client.send(&format!(
+                    "{{\"id\": {id}, \"netlist\": \"{name}\", \"flow\": \"{flow}\", \"effort\": 1}}"
+                ));
+                let v = client.recv_final();
+                assert_eq!(v.get_str("type"), Some("result"), "{name}");
+                assert_eq!(v.get_num("id"), Some(id as f64), "{name}");
+                assert_eq!(v.get_num("exit_code"), Some(0.0), "{name}");
+                assert_eq!(v.get_bool("cached"), Some(false), "{name}");
+                assert_eq!(v.get_bool("mig_equiv"), Some(true), "{name}");
+                assert_eq!(v.get_bool("net_equiv"), Some(true), "{name}");
+                assert_eq!(
+                    v.get_str("verilog"),
+                    Some(reference[name].as_str()),
+                    "{name}: served result differs from `mighty opt`"
+                );
+            }
         }));
     }
     for h in handles {
@@ -115,6 +123,54 @@ fn served_results_are_bit_identical_to_cli_across_concurrent_clients() {
     }
     server.shutdown();
     assert!(server.wait(), "drain");
+}
+
+#[test]
+fn slow_drip_request_does_not_stall_other_clients() {
+    let expected = reference_verilog("count", "size", 1);
+    let server = start(1, 0);
+    let addr = server.addr();
+    let mut slow = Client::connect(addr);
+    let line = "{\"id\": 1, \"netlist\": \"count\", \"flow\": \"size\", \"effort\": 1}\n";
+    let (head, tail) = line.as_bytes().split_at(line.len() / 2);
+    let drip = |client: &mut Client, bytes: &[u8]| {
+        for chunk in bytes.chunks(4) {
+            client.writer.write_all(chunk).expect("send");
+            client.writer.flush().expect("flush");
+            thread::sleep(Duration::from_millis(2));
+        }
+    };
+    drip(&mut slow, head);
+
+    // Half a request line is pending on the slow connection; another
+    // connection is served in full meanwhile.
+    let mut other = Client::connect(addr);
+    // A server that waits for the slow line would hang this test.
+    other
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("set timeout");
+    other.send("{\"op\": \"ping\"}");
+    assert_eq!(other.recv().get_str("type"), Some("pong"));
+    other.send("{\"id\": 2, \"netlist\": \"my_adder\", \"flow\": \"size\", \"effort\": 1}");
+    let v = other.recv_final();
+    assert_eq!(v.get_str("type"), Some("result"));
+    assert_eq!(v.get_num("id"), Some(2.0));
+    assert_eq!(v.get_num("exit_code"), Some(0.0));
+
+    drip(&mut slow, tail);
+    let v = slow.recv_final();
+    assert_eq!(v.get_str("type"), Some("result"));
+    assert_eq!(v.get_num("id"), Some(1.0));
+    assert_eq!(v.get_num("exit_code"), Some(0.0));
+    assert_eq!(
+        v.get_str("verilog"),
+        Some(expected.as_str()),
+        "the dripped job's result differs from `mighty opt`"
+    );
+    server.shutdown();
+    assert!(server.wait());
 }
 
 #[test]
@@ -330,27 +386,6 @@ fn ping_stats_and_wire_shutdown() {
         TcpStream::connect(addr).is_err(),
         "listener must be closed after shutdown"
     );
-}
-
-#[test]
-fn quick_load_sweep_verifies_and_matches_cli() {
-    // One worker count and a small corpus keep this test in CI-seconds;
-    // the full sweep runs behind `mighty serve --bench`.
-    let cfg = LoadConfig {
-        workers_sweep: vec![2],
-        clients: 3,
-        jobs_per_client: 2,
-        flow: "size".to_string(),
-        effort: 1,
-        corpus: vec!["my_adder".to_string(), "count".to_string()],
-    };
-    let sweeps = mig_mighty::serve::run_load(&cfg).expect("load sweep runs");
-    assert_eq!(sweeps.len(), 1);
-    let s = &sweeps[0];
-    assert_eq!(s.jobs, 6);
-    assert!(s.verified, "all responses verified");
-    assert!(s.bit_identical, "all responses bit-identical to the CLI");
-    assert!(s.jobs_per_sec > 0.0 && s.p50_ms > 0.0 && s.p95_ms >= s.p50_ms);
 }
 
 /// MIG_FAULTS-armed: a job whose passes panic degrades (the pass
