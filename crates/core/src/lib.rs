@@ -14,14 +14,17 @@
 //! The paper's axiomatic system `Ω` (commutativity, majority,
 //! associativity, distributivity, inverter propagation) and the derived
 //! rules `Ψ` (relevance, complementary associativity, substitution) are
-//! implemented as executable rewrites on [`Mig`], and drive three
-//! optimizers:
+//! implemented as executable rewrites on [`Mig`], and drive the
+//! optimizers, each a [`PassKind`] built at one `effort`:
 //!
-//! * [`optimize_size`] — Algorithm 1 (node count),
-//! * [`optimize_depth`] — Algorithm 2 (logic levels),
-//! * [`optimize_activity`] — Section IV-C (switching activity),
-//! * [`optimize_rewrite`] — cut-based Boolean rewriting against the NPN
-//!   database, in size- and depth-oriented acceptance modes.
+//! * `size` — Algorithm 1 (node count),
+//! * `depth` — Algorithm 2 (logic levels),
+//! * `activity` — Section IV-C (switching activity),
+//! * `rewrite` / `depth_rewrite` — cut-based Boolean rewriting against
+//!   the NPN database, in size- and depth-oriented acceptance modes,
+//! * `esat` / `depth_esat` — equality saturation ([`EsatPass`]),
+//! * `map_area` / `map_delay` — mapped-cost recovery around a
+//!   [`TechModel`].
 //!
 //! The optimizers compose through the [`opt::pipeline`] pass manager: a
 //! [`Pass`] trait, a shared [`OptContext`] (arena pool, rewrite caches,
@@ -31,7 +34,7 @@
 //! # Example
 //!
 //! ```
-//! use mig_core::{Mig, optimize_depth, DepthOptConfig};
+//! use mig_core::{Flow, Mig, OptContext};
 //!
 //! // f = x ⊕ y ⊕ z from its AOIG (depth 4) optimizes to depth ≤ 3.
 //! let mut mig = Mig::new("xor3");
@@ -41,7 +44,8 @@
 //! let t = mig.xor(x, y);
 //! let f = mig.xor(t, z);
 //! mig.add_output("f", f);
-//! let opt = optimize_depth(&mig, &DepthOptConfig::default());
+//! let depth = Flow::parse("depth").unwrap();
+//! let opt = depth.run(mig.clone(), 6, &mut OptContext::new());
 //! assert!(opt.equiv(&mig, 4));
 //! assert!(opt.depth() < mig.depth());
 //! ```
@@ -61,11 +65,10 @@ pub(crate) mod strash;
 
 pub use crate::mig::Mig;
 pub use opt::{
-    enumerate_cuts, optimize_activity, optimize_depth, optimize_rewrite, optimize_size,
-    ActivityOptConfig, ActivityPass, Budget, Cost, CutSet, DepthOptConfig, DepthPass, EGraph, ELit,
-    EnumeratedCut, EsatConfig, EsatPass, EsatRule, EsatStats, Flow, FlowStep, LevelStats, MapPass,
-    MappedMetrics, Objective, OptContext, Pass, PassKind, PassMetrics, PassOutcome, PassReport,
-    Repeat, RewriteConfig, RewritePass, SizeOptConfig, SizePass, StopReason, TechModel,
+    enumerate_cuts, resolve_jobs, Budget, Cost, CutSet, EGraph, ELit, EnumeratedCut, EsatConfig,
+    EsatPass, EsatRule, EsatStats, Flow, FlowStep, LevelStats, MappedMetrics, Objective,
+    OptContext, Pass, PassKind, PassMetrics, PassOutcome, PassReport, Repeat, StopReason,
+    TechModel,
 };
 pub use signal::{NodeId, Signal};
 

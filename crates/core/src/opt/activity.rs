@@ -7,37 +7,23 @@
 //!    whose probability is close to 0.5 (maximum switching) for one whose
 //!    probability is near 0 or 1 (paper Fig. 2(d)).
 
-use super::size::{eliminate_pass, optimize_size_with, SizeOptConfig};
+use super::size::{eliminate_pass, optimize_size, CONE_LIMIT};
 use super::OptBuffers;
 use crate::{Mig, Signal};
 
 /// Maximum tolerated relative size growth of an accepted step (5 %).
 const SIZE_SLACK: f64 = 0.05;
 
-/// Tuning knobs for [`optimize_activity`].
-#[derive(Debug, Clone)]
-pub struct ActivityOptConfig {
-    /// Number of reshape/recover cycles.
-    pub effort: usize,
-    /// Cone bound for the relevance rewrites.
-    pub cone_limit: usize,
-}
-
-impl Default for ActivityOptConfig {
-    fn default() -> Self {
-        ActivityOptConfig {
-            effort: 3,
-            cone_limit: 40,
-        }
-    }
-}
-
 /// Reduces the switching activity of the MIG under the given per-input
-/// signal probabilities (probability of being logic 1).
+/// signal probabilities (probability of being logic 1), in at most
+/// `effort` reshape/recover cycles. The `activity` flow pass runs it
+/// with uniform probabilities (0.5 on every input).
 ///
 /// Returns a functionally equivalent MIG whose
 /// [`switching_activity`](Mig::switching_activity) is less than or equal
-/// to the input's, with size growth bounded by 5 %.
+/// to the input's, with size growth bounded by 5 %. The caller's
+/// buffers let composite flows share one arena pool across every pass
+/// they run.
 ///
 /// # Panics
 ///
@@ -46,54 +32,41 @@ impl Default for ActivityOptConfig {
 /// # Example
 ///
 /// ```
-/// use mig_core::{Mig, optimize_activity, ActivityOptConfig};
+/// use mig_core::{Flow, Mig, OptContext};
 ///
-/// // Paper Fig. 2(d): k = M(x, y, M(x', z, w)) with px = 0.5 and the
-/// // rest at 0.1 halves its activity by exchanging x' for y inside.
-/// let mut mig = Mig::new("fig2d");
+/// // k = M(x, y, M(x', y, z)) is just y (Ω.R: x' = y wherever x ≠ y),
+/// // so under the uniform probabilities of the `activity` flow pass
+/// // both gates and their switching go away. The non-uniform Fig. 2(d)
+/// // exchange is checked by the unit test `fig2d_activity_halves`.
+/// let mut mig = Mig::new("redundant");
 /// let x = mig.add_input("x");
 /// let y = mig.add_input("y");
 /// let z = mig.add_input("z");
-/// let w = mig.add_input("w");
-/// let inner = mig.maj(!x, z, w);
+/// let inner = mig.maj(!x, y, z);
 /// let k = mig.maj(x, y, inner);
 /// mig.add_output("k", k);
-/// let probs = [0.5, 0.1, 0.1, 0.1];
-/// let opt = optimize_activity(&mig, &probs, &ActivityOptConfig::default());
+/// let activity = Flow::parse("activity").unwrap();
+/// let opt = activity.run(mig.clone(), 3, &mut OptContext::new());
 /// assert!(opt.equiv(&mig, 4));
-/// assert!(opt.switching_activity(&probs) < 0.51 * mig.switching_activity(&probs));
+/// assert!(opt.switching_activity_uniform() < mig.switching_activity_uniform());
 /// ```
-pub fn optimize_activity(mig: &Mig, input_probs: &[f64], config: &ActivityOptConfig) -> Mig {
-    optimize_activity_with(mig, input_probs, config, &mut OptBuffers::new())
-}
-
-/// [`optimize_activity`] with caller-provided rebuild buffers, so
-/// composite flows share one arena pool across every pass they run.
-pub(crate) fn optimize_activity_with(
+pub(crate) fn optimize_activity(
     mig: &Mig,
     input_probs: &[f64],
-    config: &ActivityOptConfig,
+    effort: usize,
     bufs: &mut OptBuffers,
 ) -> Mig {
     assert_eq!(input_probs.len(), mig.num_inputs());
     let mut best = mig.cleanup();
     let mut best_cost = cost(&best, input_probs);
-    for _ in 0..config.effort {
-        let r = probability_reshape_pass(&best, input_probs, config.cone_limit, bufs);
+    for _ in 0..effort {
+        let r = probability_reshape_pass(&best, input_probs, bufs);
         let e = eliminate_pass(&r, bufs);
         bufs.recycle(r);
         let cur = bufs.cleanup(&e);
         bufs.recycle(e);
-        // Size recovery via Algorithm 1 (limited effort).
-        let recovered = optimize_size_with(
-            &cur,
-            &SizeOptConfig {
-                effort: 1,
-                cone_limit: config.cone_limit,
-                use_substitution: false,
-            },
-            bufs,
-        );
+        // Size recovery via Algorithm 1: one cycle, no Ψ.S kick.
+        let recovered = optimize_size(&cur, 1, false, bufs);
         let rec_cost = cost(&recovered, input_probs);
         let cur_cost = cost(&cur, input_probs);
         let (cand, cand_cost) = if rec_cost <= cur_cost {
@@ -121,12 +94,7 @@ fn cost(mig: &Mig, input_probs: &[f64]) -> f64 {
 /// One `Ψ.R`-driven reshaping pass: at every node, if a reconvergent fanin
 /// has near-0.5 probability and the exchanged variable is strongly biased,
 /// try the exchange and keep it when the bounded-cone activity drops.
-fn probability_reshape_pass(
-    mig: &Mig,
-    input_probs: &[f64],
-    cone_limit: usize,
-    bufs: &mut OptBuffers,
-) -> Mig {
+fn probability_reshape_pass(mig: &Mig, input_probs: &[f64], bufs: &mut OptBuffers) -> Mig {
     // One probability buffer for the whole rebuild. The destination
     // arena only grows while the rebuild runs, so every query extends
     // the buffer over the nodes appended since the previous one instead
@@ -151,7 +119,7 @@ fn probability_reshape_pass(
             }
         };
         let mut best = base;
-        let mut best_act = cone_activity(new, best, &probs, cone_limit);
+        let mut best_act = cone_activity(new, best, &probs);
         for zi in 0..3 {
             let z = kids[zi];
             if new.as_maj(z).is_none() {
@@ -168,12 +136,12 @@ fn probability_reshape_pass(
                 if cold <= hot {
                     continue;
                 }
-                if new.cone_contains(z, x.node(), cone_limit) != Some(true) {
+                if new.cone_contains(z, x.node(), CONE_LIMIT) != Some(true) {
                     continue;
                 }
                 let cand = new.psi_r(x, y, z);
                 new.extend_signal_probabilities(input_probs, &mut probs);
-                let act = cone_activity(new, cand, &probs, cone_limit);
+                let act = cone_activity(new, cand, &probs);
                 if act < best_act {
                     best = cand;
                     best_act = act;
@@ -184,9 +152,9 @@ fn probability_reshape_pass(
     })
 }
 
-/// Total `p(1−p)` over the bounded cone of `root` (epoch-marked, no
-/// allocation).
-fn cone_activity(mig: &Mig, root: Signal, probs: &[f64], limit: usize) -> f64 {
+/// Total `p(1−p)` over the cone of `root`, infinite past [`CONE_LIMIT`]
+/// gates (epoch-marked, no allocation).
+fn cone_activity(mig: &Mig, root: Signal, probs: &[f64]) -> f64 {
     let mut trav = mig.trav_scratch();
     trav.begin(mig.num_nodes());
     trav.stack.push(root.node());
@@ -197,7 +165,7 @@ fn cone_activity(mig: &Mig, root: Signal, probs: &[f64], limit: usize) -> f64 {
             continue;
         }
         steps += 1;
-        if steps > limit {
+        if steps > CONE_LIMIT {
             return f64::INFINITY;
         }
         let p = probs[n.index()];
@@ -212,6 +180,11 @@ fn cone_activity(mig: &Mig, root: Signal, probs: &[f64], limit: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The activity optimizer at effort 3 with fresh buffers.
+    fn activity(mig: &Mig, probs: &[f64]) -> Mig {
+        optimize_activity(mig, probs, 3, &mut OptBuffers::new())
+    }
 
     fn fig2d() -> (Mig, Vec<f64>) {
         let mut mig = Mig::new("fig2d");
@@ -230,7 +203,7 @@ mod tests {
         let (mig, probs) = fig2d();
         let before = mig.switching_activity(&probs);
         assert!((before - 0.18).abs() < 1e-9);
-        let opt = optimize_activity(&mig, &probs, &ActivityOptConfig::default());
+        let opt = activity(&mig, &probs);
         assert!(opt.equiv(&mig, 4));
         let after = opt.switching_activity(&probs);
         assert!(after < 0.10, "paper: 0.18 → ≈0.087, got {after}");
@@ -248,7 +221,7 @@ mod tests {
         mig.add_output("y", m2);
         let probs = vec![0.5, 0.5, 0.5];
         let before = mig.switching_activity(&probs);
-        let opt = optimize_activity(&mig, &probs, &ActivityOptConfig::default());
+        let opt = activity(&mig, &probs);
         assert!(opt.equiv(&mig, 4));
         assert!(opt.switching_activity(&probs) <= before + 1e-12);
     }
@@ -306,7 +279,7 @@ mod tests {
     fn uniform_probabilities_still_sound() {
         let (mig, _) = fig2d();
         let probs = vec![0.5; 4];
-        let opt = optimize_activity(&mig, &probs, &ActivityOptConfig::default());
+        let opt = activity(&mig, &probs);
         assert!(opt.equiv(&mig, 4));
     }
 }

@@ -19,36 +19,17 @@ use super::{Objective, OptBuffers};
 const OBJECTIVE: Objective = Objective::DepthThenSize;
 use crate::{Mig, Signal};
 
-/// Tuning knobs for [`optimize_depth`].
-#[derive(Debug, Clone)]
-pub struct DepthOptConfig {
-    /// Number of push-up/reshape cycles (the paper's `effort`).
-    pub effort: usize,
-    /// Allow `Ω.D` L→R moves that add one node for one level of gain.
-    pub allow_area_increase: bool,
-    /// Cone bound used by the relevance rewrites during reshaping.
-    pub cone_limit: usize,
-}
-
-impl Default for DepthOptConfig {
-    fn default() -> Self {
-        DepthOptConfig {
-            effort: 6,
-            allow_area_increase: true,
-            cone_limit: 40,
-        }
-    }
-}
-
-/// Algorithm 2: reduces the number of logic levels.
+/// Algorithm 2: reduces the number of logic levels in `effort`
+/// push-up/reshape cycles (the paper's `effort`).
 ///
 /// Returns the best `(depth, size)` MIG encountered; the result is always
-/// functionally equivalent to the input.
+/// functionally equivalent to the input. The caller's buffers let
+/// composite flows share one arena pool across every pass they run.
 ///
 /// # Example
 ///
 /// ```
-/// use mig_core::{Mig, optimize_depth, DepthOptConfig};
+/// use mig_core::{Flow, Mig, OptContext};
 ///
 /// // An unbalanced AND chain: a·b·c·d at depth 3 rebalances to depth 2.
 /// let mut mig = Mig::new("chain");
@@ -61,21 +42,12 @@ impl Default for DepthOptConfig {
 /// let t3 = mig.and(t2, d);
 /// mig.add_output("y", t3);
 /// assert_eq!(mig.depth(), 3);
-/// let opt = optimize_depth(&mig, &DepthOptConfig::default());
+/// let depth = Flow::parse("depth").unwrap();
+/// let opt = depth.run(mig.clone(), 6, &mut OptContext::new());
 /// assert!(opt.equiv(&mig, 4));
 /// assert_eq!(opt.depth(), 2);
 /// ```
-pub fn optimize_depth(mig: &Mig, config: &DepthOptConfig) -> Mig {
-    optimize_depth_with(mig, config, &mut OptBuffers::new())
-}
-
-/// [`optimize_depth`] with caller-provided rebuild buffers, so composite
-/// flows share one arena pool across every pass they run.
-pub(crate) fn optimize_depth_with(
-    mig: &Mig,
-    config: &DepthOptConfig,
-    bufs: &mut OptBuffers,
-) -> Mig {
+pub(crate) fn optimize_depth(mig: &Mig, effort: usize, bufs: &mut OptBuffers) -> Mig {
     let mut best = mig.cleanup();
     let mut best_cost = OBJECTIVE.of(&best);
     // Runs one pass and recycles its input's buffers.
@@ -84,16 +56,12 @@ pub(crate) fn optimize_depth_with(
         bufs.recycle(cur);
         next
     };
-    for cycle in 0..config.effort {
+    for cycle in 0..effort {
         // Push-up rounds (two, as in Algorithm 2's pseudocode).
-        let mut cur = push_up_pass(&best, config.allow_area_increase, bufs);
-        cur = step(bufs, cur, &|m, b| {
-            push_up_pass(m, config.allow_area_increase, b)
-        });
-        cur = step(bufs, cur, &|m, b| reshape_pass(m, config.cone_limit, b));
-        cur = step(bufs, cur, &|m, b| {
-            push_up_pass(m, config.allow_area_increase, b)
-        });
+        let mut cur = push_up_pass(&best, bufs);
+        cur = step(bufs, cur, &push_up_pass);
+        cur = step(bufs, cur, &reshape_pass);
+        cur = step(bufs, cur, &push_up_pass);
         cur = step(bufs, cur, &eliminate_pass);
         cur = step(bufs, cur, &|m, b| b.cleanup(m));
         let cur_cost = OBJECTIVE.of(&cur);
@@ -105,17 +73,11 @@ pub(crate) fn optimize_depth_with(
         bufs.recycle(cur);
         // Local minimum: Ψ.S kick (paper Fig. 2(b)), then retry once.
         let kicked = substitution_kick(&best, cycle);
-        let mut k = push_up_pass(
-            kicked.as_ref().unwrap_or(&best),
-            config.allow_area_increase,
-            bufs,
-        );
+        let mut k = push_up_pass(kicked.as_ref().unwrap_or(&best), bufs);
         if let Some(kicked) = kicked {
             bufs.recycle(kicked);
         }
-        k = step(bufs, k, &|m, b| {
-            push_up_pass(m, config.allow_area_increase, b)
-        });
+        k = step(bufs, k, &push_up_pass);
         k = step(bufs, k, &eliminate_pass);
         k = step(bufs, k, &|m, b| b.cleanup(m));
         let k_cost = OBJECTIVE.of(&k);
@@ -138,16 +100,9 @@ const DEPTH_FUEL: u32 = 2;
 
 /// One bottom-up push-up pass: every gate is reconstructed with the
 /// depth-aware constructor below.
-pub(crate) fn push_up_pass(mig: &Mig, allow_area_increase: bool, bufs: &mut OptBuffers) -> Mig {
+pub(crate) fn push_up_pass(mig: &Mig, bufs: &mut OptBuffers) -> Mig {
     bufs.rebuild(mig, |new, kids, _| {
-        maj_depth_aware(
-            new,
-            kids[0],
-            kids[1],
-            kids[2],
-            allow_area_increase,
-            DEPTH_FUEL,
-        )
+        maj_depth_aware(new, kids[0], kids[1], kids[2], DEPTH_FUEL)
     })
 }
 
@@ -155,14 +110,7 @@ pub(crate) fn push_up_pass(mig: &Mig, allow_area_increase: bool, bufs: &mut OptB
 /// strictly critical — constructs the `Ω.A` / `Ψ.C` / `Ω.D` push-up
 /// variants (recursively depth-aware up to `fuel` levels) and keeps the
 /// shallowest result.
-pub(crate) fn maj_depth_aware(
-    new: &mut Mig,
-    a: Signal,
-    b: Signal,
-    c: Signal,
-    allow_area_increase: bool,
-    fuel: u32,
-) -> Signal {
+pub(crate) fn maj_depth_aware(new: &mut Mig, a: Signal, b: Signal, c: Signal, fuel: u32) -> Signal {
     let base = new.maj(a, b, c);
     if fuel == 0 || new.as_maj(base).is_none() {
         return base;
@@ -204,7 +152,7 @@ pub(crate) fn maj_depth_aware(
                 .iter()
                 .find(|&&s| s != shared && s != swap_out)
                 .expect("three distinct fanins");
-            let inner = maj_depth_aware(new, t, shared, outer_other, allow_area_increase, fuel - 1);
+            let inner = maj_depth_aware(new, t, shared, outer_other, fuel - 1);
             let cand = new.maj(swap_out, shared, inner);
             consider(new, cand, &mut best, &mut best_level);
         }
@@ -229,27 +177,25 @@ pub(crate) fn maj_depth_aware(
         if n_rest != 2 {
             continue;
         }
-        let inner = maj_depth_aware(new, rest[0], other, rest[1], allow_area_increase, fuel - 1);
+        let inner = maj_depth_aware(new, rest[0], other, rest[1], fuel - 1);
         let cand = new.maj(other, u, inner);
         consider(new, cand, &mut best, &mut best_level);
     }
 
     // Candidate 3: Ω.D L→R — keep the critical grandchild w outside and
-    // duplicate (x,y) around the shallow fanins:
-    // M(x, y, M(u, v, w)) = M(M(x,y,u), M(x,y,v), w).
-    if allow_area_increase {
-        if let Some((wi, &w)) = g.iter().enumerate().max_by_key(|(_, &s)| lvl(new, s)) {
-            let u = g[(wi + 1) % 3];
-            let v = g[(wi + 2) % 3];
-            let est = 1 + lvl(new, w)
-                .max(1 + lvl(new, x).max(lvl(new, y)).max(lvl(new, u)))
-                .max(1 + lvl(new, x).max(lvl(new, y)).max(lvl(new, v)));
-            if est < best_level {
-                let p = new.maj(x, y, u);
-                let q = new.maj(x, y, v);
-                let cand = maj_depth_aware(new, p, q, w, allow_area_increase, fuel - 1);
-                consider(new, cand, &mut best, &mut best_level);
-            }
+    // duplicate (x,y) around the shallow fanins, one added node for one
+    // level of gain: M(x, y, M(u, v, w)) = M(M(x,y,u), M(x,y,v), w).
+    if let Some((wi, &w)) = g.iter().enumerate().max_by_key(|(_, &s)| lvl(new, s)) {
+        let u = g[(wi + 1) % 3];
+        let v = g[(wi + 2) % 3];
+        let est = 1 + lvl(new, w)
+            .max(1 + lvl(new, x).max(lvl(new, y)).max(lvl(new, u)))
+            .max(1 + lvl(new, x).max(lvl(new, y)).max(lvl(new, v)));
+        if est < best_level {
+            let p = new.maj(x, y, u);
+            let q = new.maj(x, y, v);
+            let cand = maj_depth_aware(new, p, q, w, fuel - 1);
+            consider(new, cand, &mut best, &mut best_level);
         }
     }
     best
@@ -258,6 +204,11 @@ pub(crate) fn maj_depth_aware(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Algorithm 2 at effort 6 with fresh buffers.
+    fn depth(mig: &Mig) -> Mig {
+        optimize_depth(mig, 6, &mut OptBuffers::new())
+    }
 
     #[test]
     fn and_chain_balances() {
@@ -269,7 +220,7 @@ mod tests {
         }
         mig.add_output("y", acc);
         assert_eq!(mig.depth(), 7);
-        let opt = optimize_depth(&mig, &DepthOptConfig::default());
+        let opt = depth(&mig);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.depth(), 3, "8-input AND balances to log2");
     }
@@ -288,7 +239,7 @@ mod tests {
         let g = mig.and(x, or);
         mig.add_output("g", g);
         assert_eq!(mig.depth(), 3);
-        let opt = optimize_depth(&mig, &DepthOptConfig::default());
+        let opt = depth(&mig);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.depth(), 2, "paper reduces g to 2 levels");
     }
@@ -304,7 +255,7 @@ mod tests {
         let f = mig.xor(x1, z);
         mig.add_output("f", f);
         assert_eq!(mig.depth(), 4);
-        let opt = optimize_depth(&mig, &DepthOptConfig::default());
+        let opt = depth(&mig);
         assert!(opt.equiv(&mig, 4));
         assert!(opt.depth() <= 3, "got {}", opt.depth());
     }
@@ -321,28 +272,9 @@ mod tests {
         let m3 = mig.xor(m2, b);
         mig.add_output("y", m3);
         let before = mig.depth();
-        let opt = optimize_depth(&mig, &DepthOptConfig::default());
+        let opt = depth(&mig);
         assert!(opt.equiv(&mig, 4));
         assert!(opt.depth() <= before);
-    }
-
-    #[test]
-    fn area_restricted_mode() {
-        let mut mig = Mig::new("chain");
-        let ins: Vec<Signal> = (0..6).map(|i| mig.add_input(format!("x{i}"))).collect();
-        let mut acc = ins[0];
-        for &s in &ins[1..] {
-            acc = mig.or(acc, s);
-        }
-        mig.add_output("y", acc);
-        let config = DepthOptConfig {
-            allow_area_increase: false,
-            ..DepthOptConfig::default()
-        };
-        let opt = optimize_depth(&mig, &config);
-        assert!(opt.equiv(&mig, 4));
-        assert!(opt.depth() <= mig.depth());
-        assert!(opt.size() <= mig.size(), "without Ω.D size cannot grow");
     }
 
     #[test]
@@ -355,7 +287,7 @@ mod tests {
         let inner = mig.maj(c, d, a);
         let outer = mig.maj(a, b, inner);
         mig.add_output("y", outer);
-        let p = push_up_pass(&mig, true, &mut OptBuffers::new());
+        let p = push_up_pass(&mig, &mut OptBuffers::new());
         assert!(p.equiv(&mig, 4));
     }
 }

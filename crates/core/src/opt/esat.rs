@@ -68,10 +68,10 @@ use std::collections::{hash_map, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
-use super::depth::DepthOptConfig;
-use super::pipeline::{Budget, OptContext, Pass, TechModel};
-use super::rewrite::{optimize_rewrite_with, RewriteCache, RewriteConfig};
-use super::size::SizeOptConfig;
+use super::depth::optimize_depth;
+use super::pipeline::{Budget, OptContext, Pass, PassKind, TechModel};
+use super::rewrite::{optimize_rewrite, RewriteCache};
+use super::size::optimize_size;
 use super::{Objective, OptBuffers};
 use crate::{Mig, Signal};
 
@@ -1840,19 +1840,13 @@ impl EsatPass {
     /// depth-rewriter contributes structures the algebraic rules never
     /// produce. Their outputs merge with the input's, so extraction
     /// chooses the cheapest mix of all the structures plus everything
-    /// saturation derives between them.
+    /// saturation derives between them. The seeds run at fixed efforts
+    /// (depth 6, size 4, depth-rewrite 2 on every available core),
+    /// whatever the pass's own effort.
     fn variants(&self, bufs: &mut OptBuffers, rc: &mut RewriteCache, mig: &Mig) -> Vec<Mig> {
-        let deep = super::depth::optimize_depth_with(mig, &DepthOptConfig::default(), bufs);
-        let recovered = super::size::optimize_size_with(&deep, &SizeOptConfig::default(), bufs);
-        let rw_deep = optimize_rewrite_with(
-            mig,
-            &RewriteConfig {
-                goal: Objective::DepthThenSize,
-                ..RewriteConfig::default()
-            },
-            bufs,
-            rc,
-        );
+        let deep = optimize_depth(mig, 6, bufs);
+        let recovered = optimize_size(&deep, 4, true, bufs);
+        let rw_deep = optimize_rewrite(mig, Objective::DepthThenSize, 2, 0, bufs, rc);
         vec![deep, recovered, rw_deep]
     }
 
@@ -1924,8 +1918,13 @@ impl EsatPass {
 }
 
 impl Pass for EsatPass {
+    /// The flow-script name of the goal's pass: `depth_esat` for a
+    /// depth-oriented goal (structural or mapped), `esat` otherwise.
     fn name(&self) -> &'static str {
-        "esat"
+        match self.goal.structural() {
+            Objective::SizeThenDepth => PassKind::Esat.name(),
+            _ => PassKind::DepthEsat.name(),
+        }
     }
 
     fn objective(&self) -> Objective {

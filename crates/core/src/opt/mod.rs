@@ -1,11 +1,11 @@
 //! MIG optimization algorithms (paper Section IV).
 //!
-//! * [`size`] — Algorithm 1: node-count reduction through `Ω.M` and
+//! * `size` — Algorithm 1: node-count reduction through `Ω.M` and
 //!   `Ω.D` (R→L) elimination, interleaved with `Ω.A`/`Ψ.C`/`Ψ.R`/`Ψ.S`
 //!   reshaping.
-//! * [`depth`] — Algorithm 2: critical-path reduction by pushing late
+//! * `depth` — Algorithm 2: critical-path reduction by pushing late
 //!   signals toward the outputs with `Ω.D` (L→R), `Ω.A` and `Ψ.C`.
-//! * [`activity`] — Section IV-C: switching-activity reduction through
+//! * `activity` — Section IV-C: switching-activity reduction through
 //!   probability-aware `Ψ.R` exchanges plus size recovery.
 //! * [`rewrite`] — cut-based Boolean rewriting against the NPN database,
 //!   in a size-oriented and a depth-oriented acceptance mode.
@@ -13,25 +13,22 @@
 //!   bidirectional rules over an e-graph, with cost-based extraction.
 //! * [`pipeline`] — the composable pass manager: the [`Pass`] trait, the
 //!   shared [`OptContext`], and the flow-script language that sequences
-//!   the passes above.
+//!   the passes above. Each optimizer is reached as a [`PassKind`] built
+//!   at one effort; the first three modules are crate-private.
 
-pub mod activity;
-pub mod depth;
+mod activity;
+mod depth;
 pub mod esat;
 pub mod pipeline;
 pub mod rewrite;
-pub mod size;
+mod size;
 
-pub use activity::{optimize_activity, ActivityOptConfig};
-pub use depth::{optimize_depth, DepthOptConfig};
 pub use esat::{EGraph, ELit, EsatConfig, EsatPass, EsatRule, EsatStats, StopReason};
 pub use pipeline::{
-    ActivityPass, Budget, DepthPass, Flow, FlowStep, LevelStats, MapPass, MappedMetrics,
-    OptContext, Pass, PassKind, PassMetrics, PassOutcome, PassReport, Repeat, RewritePass,
-    SizePass, TechModel,
+    Budget, Flow, FlowStep, LevelStats, MappedMetrics, OptContext, Pass, PassKind, PassMetrics,
+    PassOutcome, PassReport, Repeat, TechModel,
 };
-pub use rewrite::{enumerate_cuts, optimize_rewrite, CutSet, EnumeratedCut, RewriteConfig};
-pub use size::{optimize_size, SizeOptConfig};
+pub use rewrite::{enumerate_cuts, resolve_jobs, CutSet, EnumeratedCut};
 
 use crate::{Mig, NodeId, Signal};
 

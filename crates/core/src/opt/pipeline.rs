@@ -28,7 +28,7 @@
 //! step   := pass [ '*' [count] ]
 //! pass   := 'size' | 'depth' | 'activity' | 'rewrite' | 'depth_rewrite'
 //!         | 'esat' | 'depth_esat' | 'map_area' | 'map_delay'
-//! count  := positive integer
+//! count  := integer in 1..=64
 //! ```
 //!
 //! Whitespace around tokens is ignored. `pass*N` runs the pass `N`
@@ -66,10 +66,11 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use super::activity::{optimize_activity_with, ActivityOptConfig};
-use super::depth::{optimize_depth_with, DepthOptConfig};
-use super::rewrite::{optimize_rewrite_with, RewriteCache, RewriteConfig};
-use super::size::{optimize_size_with, SizeOptConfig};
+use super::activity::optimize_activity;
+use super::depth::optimize_depth;
+use super::esat::EsatPass;
+use super::rewrite::{optimize_rewrite, RewriteCache};
+use super::size::optimize_size;
 use super::{Objective, OptBuffers};
 use crate::Mig;
 
@@ -78,6 +79,11 @@ use crate::Mig;
 /// but never more than this many times (every pass also has an internal
 /// fixpoint loop, so the cap is a backstop, not a tuning knob).
 pub const CONVERGE_CAP: usize = 8;
+
+/// Largest `N` a `pass*N` flow step accepts. A run that comes back
+/// unchanged records its remaining repetitions as ledger copies, so an
+/// unbounded `N` would let one flow script allocate without limit.
+const MAX_REPEAT: usize = 64;
 
 /// Resource limits for one pipeline run, enforced by
 /// [`OptContext::run_pass`] around every pass.
@@ -615,9 +621,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// A pass is a pure function from MIG to MIG (functionally equivalent
 /// output, deterministic for a given input and configuration); it takes
 /// the input by value so its arena can be recycled into the context's
-/// pool. The four paper optimizers and both rewrite modes implement
-/// this trait; external code can add custom passes and drive them
-/// through [`OptContext::run_pass`].
+/// pool. Every built-in pass ([`PassKind::build`]) and [`EsatPass`]
+/// implement this trait; external code can add custom passes and drive
+/// them through [`OptContext::run_pass`].
 pub trait Pass {
     /// Short lower-case name used in flow scripts, reports and the
     /// bench schema.
@@ -631,9 +637,9 @@ pub trait Pass {
     /// Whether one execution paid off: `after` strictly improves on
     /// `before` under the pass's own success metric. The `*`
     /// convergence marker re-runs the pass while this holds. Default:
-    /// the [`objective`](Pass::objective) cost; the activity pass
-    /// overrides it to compare the activity value itself (which the
-    /// `Cost` type cannot carry).
+    /// the [`objective`](Pass::objective) cost; the built-in activity
+    /// pass compares the activity value itself (which the `Cost` type
+    /// cannot carry), and the mapped passes their mapped cost.
     fn improved(&self, before: &PassMetrics, after: &PassMetrics) -> bool {
         let obj = self.objective();
         obj.cost(after.size, after.depth) < obj.cost(before.size, before.depth)
@@ -643,215 +649,106 @@ pub trait Pass {
     fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig;
 }
 
-/// Algorithm 1 (node-count reduction) as a [`Pass`].
-#[derive(Debug, Clone, Default)]
-pub struct SizePass {
-    /// The underlying optimizer's tuning knobs.
-    pub config: SizeOptConfig,
+/// A built-in pass at a fixed effort: what [`PassKind::build`] returns.
+/// The kind is the pass's only description — its name, objective,
+/// convergence signal and optimizer all follow from it.
+#[derive(Debug, Clone, Copy)]
+struct BuiltIn {
+    kind: PassKind,
+    /// Iteration budget handed to the optimizer (at least 1).
+    effort: usize,
 }
 
-impl Pass for SizePass {
+impl Pass for BuiltIn {
     fn name(&self) -> &'static str {
-        "size"
-    }
-
-    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let out = optimize_size_with(&mig, &self.config, &mut ctx.bufs);
-        ctx.bufs.recycle(mig);
-        out
-    }
-}
-
-/// Algorithm 2 (logic-depth reduction) as a [`Pass`].
-#[derive(Debug, Clone, Default)]
-pub struct DepthPass {
-    /// The underlying optimizer's tuning knobs.
-    pub config: DepthOptConfig,
-}
-
-impl Pass for DepthPass {
-    fn name(&self) -> &'static str {
-        "depth"
+        self.kind.name()
     }
 
     fn objective(&self) -> Objective {
-        Objective::DepthThenSize
+        self.kind.objective()
     }
 
-    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let out = optimize_depth_with(&mig, &self.config, &mut ctx.bufs);
-        ctx.bufs.recycle(mig);
-        out
-    }
-}
-
-/// Section IV-C (switching-activity reduction) as a [`Pass`].
-#[derive(Debug, Clone, Default)]
-pub struct ActivityPass {
-    /// The underlying optimizer's tuning knobs.
-    pub config: ActivityOptConfig,
-    /// Per-input probabilities of being logic 1; `None` means uniform
-    /// 0.5 on every input (the configuration the suite reports use).
-    pub probs: Option<Vec<f64>>,
-}
-
-impl Pass for ActivityPass {
-    fn name(&self) -> &'static str {
-        "activity"
-    }
-
-    /// `activity*` converges on the metric the pass actually minimizes:
+    /// `activity*` converges on the metric the pass actually minimizes,
     /// the switching-activity value (the pass may trade a little size
-    /// for it within its slack, so the objective cost is the wrong
-    /// convergence signal here).
+    /// for it within its slack). `map_area*` / `map_delay*` converge on
+    /// the mapped cost when both sides carry one. Every other case uses
+    /// the objective cost.
     fn improved(&self, before: &PassMetrics, after: &PassMetrics) -> bool {
-        after.activity < before.activity
+        let obj = self.objective();
+        match (self.kind, &before.mapped, &after.mapped) {
+            (PassKind::Activity, ..) => after.activity < before.activity,
+            (PassKind::MapArea | PassKind::MapDelay, Some(b), Some(a)) => {
+                obj.mapped_cost(a) < obj.mapped_cost(b)
+            }
+            _ => obj.cost(after.size, after.depth) < obj.cost(before.size, before.depth),
+        }
     }
 
     fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let uniform;
-        let probs = match &self.probs {
-            Some(p) => p.as_slice(),
-            None => {
-                uniform = vec![0.5; mig.num_inputs()];
-                uniform.as_slice()
+        let effort = self.effort;
+        let out = match self.kind {
+            PassKind::Size => optimize_size(&mig, effort, true, &mut ctx.bufs),
+            PassKind::Depth => optimize_depth(&mig, effort, &mut ctx.bufs),
+            PassKind::Activity => {
+                let uniform = vec![0.5; mig.num_inputs()];
+                optimize_activity(&mig, &uniform, effort, &mut ctx.bufs)
+            }
+            PassKind::Rewrite | PassKind::DepthRewrite => optimize_rewrite(
+                &mig,
+                self.objective(),
+                effort,
+                ctx.jobs,
+                &mut ctx.bufs,
+                &mut ctx.rewrite,
+            ),
+            PassKind::Esat | PassKind::DepthEsat => {
+                let esat = EsatPass {
+                    goal: self.objective(),
+                    effort,
+                    config: None,
+                };
+                return esat.run(ctx, mig);
+            }
+            PassKind::MapArea | PassKind::MapDelay => {
+                return map_recovery(ctx, self.objective(), effort, mig)
             }
         };
-        let out = optimize_activity_with(&mig, probs, &self.config, &mut ctx.bufs);
         ctx.bufs.recycle(mig);
         out
     }
 }
 
-/// Cut-based Boolean rewriting as a [`Pass`] — both flow passes in one
-/// struct: with `config.goal` at [`Objective::SizeThenDepth`] this is
-/// the `rewrite` pass, at [`Objective::DepthThenSize`] the
-/// `depth_rewrite` pass. The pass draws the persistent
-/// cut/candidate cache and the worker scratch pool from the context, so
-/// consecutive rewrite steps of a flow (even with algebraic passes in
-/// between) reuse translated cut sets instead of re-enumerating, and a
-/// `config.jobs` of 0 defers to the context's `jobs` setting.
-#[derive(Debug, Clone, Default)]
-pub struct RewritePass {
-    /// The underlying engine's tuning knobs (`goal` picks the mode).
-    pub config: RewriteConfig,
-}
-
-impl Pass for RewritePass {
-    fn name(&self) -> &'static str {
-        match self.config.goal.structural() {
-            Objective::SizeThenDepth => "rewrite",
-            _ => "depth_rewrite",
-        }
-    }
-
-    fn objective(&self) -> Objective {
-        self.config.goal
-    }
-
-    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let config = RewriteConfig {
-            jobs: if self.config.jobs == 0 {
-                ctx.jobs
-            } else {
-                self.config.jobs
-            },
-            ..self.config.clone()
-        };
-        let out = optimize_rewrite_with(&mig, &config, &mut ctx.bufs, &mut ctx.rewrite);
-        ctx.bufs.recycle(mig);
-        out
-    }
-}
-
-/// Technology-aware recovery as a [`Pass`] — the `map_area` /
-/// `map_delay` flow steps. The pass re-runs the structural passes that
-/// best track its mapped objective (`size` + `rewrite` for area,
-/// `depth` + `depth_rewrite` for delay) and keeps the iterate with the
-/// lowest *mapped* cost as measured by the context's [`TechModel`] —
-/// the honest objective the structural passes cannot see. Without an
-/// installed model the pass is a no-op (flows stay parseable and
-/// runnable in purely structural pipelines).
-#[derive(Debug, Clone)]
-pub struct MapPass {
-    /// The mapped objective: [`Objective::MappedArea`] (the `map_area`
-    /// pass) or [`Objective::MappedDelay`] (`map_delay`). Structural
-    /// objectives behave like their mapped counterpart per
-    /// [`Objective::structural`] pairing.
-    pub goal: Objective,
-    /// Iteration budget handed to the inner structural passes.
-    pub effort: usize,
-}
-
-impl Default for MapPass {
-    fn default() -> Self {
-        MapPass {
-            goal: Objective::MappedArea,
-            effort: 1,
-        }
-    }
-}
-
-impl Pass for MapPass {
-    fn name(&self) -> &'static str {
-        match self.goal.structural() {
-            Objective::SizeThenDepth => "map_area",
-            _ => "map_delay",
-        }
-    }
-
-    fn objective(&self) -> Objective {
-        self.goal
-    }
-
-    /// `map_area*` / `map_delay*` converge on the mapped cost when both
-    /// sides carry one; structural cost is the fallback signal.
-    fn improved(&self, before: &PassMetrics, after: &PassMetrics) -> bool {
-        match (&before.mapped, &after.mapped) {
-            (Some(b), Some(a)) => self.goal.mapped_cost(a) < self.goal.mapped_cost(b),
-            _ => {
-                let obj = self.goal.structural();
-                obj.cost(after.size, after.depth) < obj.cost(before.size, before.depth)
-            }
-        }
-    }
-
-    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        // Take the model out so the inner structural passes (driven
-        // directly, off-ledger) don't pay a mapper run per iterate
-        // measurement; it goes back before returning — including on an
-        // unwind, so a panicking inner pass (or mapper) rolled back by
-        // `run_pass` doesn't silently strip the flow's tech model.
-        let Some(tech) = ctx.tech.take() else {
-            return mig;
-        };
-        ctx.last_metrics = None;
-        let result = catch_unwind(AssertUnwindSafe(|| self.search(ctx, tech.as_ref(), mig)));
-        ctx.set_tech(tech);
-        match result {
-            Ok(best) => best,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-}
-
-impl MapPass {
-    /// The mapped-cost recovery loop proper: alternate the structural
-    /// passes and keep the best mapped cost seen.
-    fn search(&self, ctx: &mut OptContext, tech: &dyn TechModel, mig: Mig) -> Mig {
-        let kinds: &[PassKind] = match self.goal.structural() {
-            Objective::SizeThenDepth => &[PassKind::Size, PassKind::Rewrite],
-            _ => &[PassKind::Depth, PassKind::DepthRewrite],
-        };
-        let passes: Vec<Box<dyn Pass>> = kinds.iter().map(|k| k.build(self.effort)).collect();
+/// Technology-aware recovery, the `map_area` / `map_delay` flow steps:
+/// alternates the structural passes that best track the mapped `goal`
+/// (`size` + `rewrite` for area, `depth` + `depth_rewrite` for delay)
+/// and keeps the iterate with the lowest *mapped* cost as measured by
+/// the context's [`TechModel`] — the honest objective the structural
+/// passes cannot see. Without an installed model it returns its input
+/// (flows stay parseable and runnable in purely structural pipelines).
+fn map_recovery(ctx: &mut OptContext, goal: Objective, effort: usize, mig: Mig) -> Mig {
+    // Take the model out so the inner structural passes (driven
+    // directly, off-ledger) don't pay a mapper run per iterate
+    // measurement; it goes back before returning — including on an
+    // unwind, so a panicking inner pass (or mapper) rolled back by
+    // `run_pass` doesn't silently strip the flow's tech model.
+    let Some(tech) = ctx.tech.take() else {
+        return mig;
+    };
+    ctx.last_metrics = None;
+    let kinds = match goal.structural() {
+        Objective::SizeThenDepth => [PassKind::Size, PassKind::Rewrite],
+        _ => [PassKind::Depth, PassKind::DepthRewrite],
+    };
+    let passes = kinds.map(|kind| BuiltIn { kind, effort });
+    let result = catch_unwind(AssertUnwindSafe(|| {
         let mut best = mig;
-        let mut best_cost = self.goal.mapped_cost(&tech.measure(&best));
+        let mut best_cost = goal.mapped_cost(&tech.measure(&best));
         let mut cur = best.clone();
         for _ in 0..CONVERGE_CAP {
             for pass in &passes {
                 cur = pass.run(ctx, cur);
             }
-            let cost = self.goal.mapped_cost(&tech.measure(&cur));
+            let cost = goal.mapped_cost(&tech.measure(&cur));
             if cost < best_cost {
                 ctx.bufs.recycle(std::mem::replace(&mut best, cur.clone()));
                 best_cost = cost;
@@ -861,6 +758,11 @@ impl MapPass {
         }
         ctx.bufs.recycle(cur);
         best
+    }));
+    ctx.set_tech(tech);
+    match result {
+        Ok(best) => best,
+        Err(payload) => resume_unwind(payload),
     }
 }
 
@@ -877,8 +779,7 @@ pub enum PassKind {
     Rewrite,
     /// Depth-oriented Boolean rewriting — `depth_rewrite`.
     DepthRewrite,
-    /// Equality-saturation rewriting — `esat` (see
-    /// [`EsatPass`](super::esat::EsatPass)).
+    /// Equality-saturation rewriting — `esat` (see [`EsatPass`]).
     Esat,
     /// Depth-oriented equality-saturation rewriting — `depth_esat`.
     DepthEsat,
@@ -938,63 +839,13 @@ impl PassKind {
         }
     }
 
-    /// Instantiates the pass with its default configuration at the
-    /// given iteration budget (clamped to at least 1) — exactly the
-    /// per-pass configuration the legacy `run_opt` if-chain used.
+    /// Instantiates the pass at the given iteration budget (clamped to
+    /// at least 1).
     pub fn build(self, effort: usize) -> Box<dyn Pass> {
-        let effort = effort.max(1);
-        match self {
-            PassKind::Size => Box::new(SizePass {
-                config: SizeOptConfig {
-                    effort,
-                    ..SizeOptConfig::default()
-                },
-            }),
-            PassKind::Depth => Box::new(DepthPass {
-                config: DepthOptConfig {
-                    effort,
-                    ..DepthOptConfig::default()
-                },
-            }),
-            PassKind::Activity => Box::new(ActivityPass {
-                config: ActivityOptConfig {
-                    effort,
-                    ..ActivityOptConfig::default()
-                },
-                probs: None,
-            }),
-            PassKind::Rewrite => Box::new(RewritePass {
-                config: RewriteConfig {
-                    effort,
-                    ..RewriteConfig::default()
-                },
-            }),
-            PassKind::DepthRewrite => Box::new(RewritePass {
-                config: RewriteConfig {
-                    effort,
-                    goal: Objective::DepthThenSize,
-                    ..RewriteConfig::default()
-                },
-            }),
-            PassKind::Esat => Box::new(super::esat::EsatPass {
-                goal: Objective::SizeThenDepth,
-                effort,
-                config: None,
-            }),
-            PassKind::DepthEsat => Box::new(super::esat::EsatPass {
-                goal: Objective::DepthThenSize,
-                effort,
-                config: None,
-            }),
-            PassKind::MapArea => Box::new(MapPass {
-                goal: Objective::MappedArea,
-                effort,
-            }),
-            PassKind::MapDelay => Box::new(MapPass {
-                goal: Objective::MappedDelay,
-                effort,
-            }),
-        }
+        Box::new(BuiltIn {
+            kind: self,
+            effort: effort.max(1),
+        })
     }
 }
 
@@ -1047,8 +898,8 @@ pub struct Flow {
 impl Flow {
     /// Parses a flow script (see the [module docs](self) for the
     /// grammar). Empty segments are tolerated (trailing `;`), an empty
-    /// script is an error, and unknown pass names or malformed repeat
-    /// counts report what was expected.
+    /// script is an error, and unknown pass names or malformed or
+    /// out-of-range (above 64) repeat counts report what was expected.
     pub fn parse(script: &str) -> Result<Flow, String> {
         let mut steps = Vec::new();
         for raw in script.split(';') {
@@ -1068,6 +919,11 @@ impl Flow {
                             .map_err(|e| format!("`{tok}`: bad repeat count: {e}"))?;
                         if n == 0 {
                             return Err(format!("`{tok}`: repeat count must be at least 1"));
+                        }
+                        if n > MAX_REPEAT {
+                            return Err(format!(
+                                "`{tok}`: repeat count must be at most {MAX_REPEAT}"
+                            ));
                         }
                         Repeat::Times(n)
                     };
@@ -1172,7 +1028,7 @@ impl fmt::Display for Flow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{optimize_depth, optimize_size, DepthOptConfig, Signal, SizeOptConfig};
+    use crate::Signal;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -1219,6 +1075,10 @@ mod tests {
             flow.to_string(),
             "size*2; rewrite; depth_rewrite*; activity"
         );
+        assert!(
+            Flow::parse("size*64").is_ok(),
+            "the bound itself is accepted"
+        );
     }
 
     #[test]
@@ -1229,11 +1089,28 @@ mod tests {
             ("speed", "unknown pass `speed`"),
             ("size*x", "bad repeat count"),
             ("size*0", "at least 1"),
+            ("size*65", "at most 64"),
+            ("size*1000000000000", "at most 64"),
             ("size**2", "bad repeat count"),
         ] {
             let err = Flow::parse(script).unwrap_err();
             assert!(err.contains(needle), "`{script}` → {err}");
         }
+    }
+
+    #[test]
+    fn built_passes_describe_themselves_as_their_kind() {
+        for kind in PassKind::ALL {
+            let pass = kind.build(1);
+            assert_eq!(pass.name(), kind.name());
+            assert_eq!(pass.objective(), kind.objective(), "{kind}");
+        }
+        let mut ctx = OptContext::with_jobs(1);
+        Flow::parse("depth_esat; esat")
+            .unwrap()
+            .run(xor_tangle(), 1, &mut ctx);
+        let names: Vec<&str> = ctx.ledger().iter().map(|r| r.pass.as_str()).collect();
+        assert_eq!(names, ["depth_esat", "esat"]);
     }
 
     #[test]
@@ -1261,19 +1138,9 @@ mod tests {
         let flowed = Flow::parse("size; depth")
             .unwrap()
             .run(mig.clone(), 2, &mut ctx);
-        let manual = optimize_depth(
-            &optimize_size(
-                &mig,
-                &SizeOptConfig {
-                    effort: 2,
-                    ..SizeOptConfig::default()
-                },
-            ),
-            &DepthOptConfig {
-                effort: 2,
-                ..DepthOptConfig::default()
-            },
-        );
+        let mut bufs = OptBuffers::new();
+        let sized = optimize_size(&mig, 2, true, &mut bufs);
+        let manual = optimize_depth(&sized, 2, &mut bufs);
         assert!(flowed.equiv(&mig, 4));
         assert_eq!(flowed.num_nodes(), manual.num_nodes());
         for node in flowed.gate_ids() {
@@ -1354,7 +1221,7 @@ mod tests {
         // The activity pass may trade a little size within its slack;
         // `activity*` must keep iterating while the activity value
         // falls, and stop when it does not — size is not the signal.
-        let pass = ActivityPass::default();
+        let pass = PassKind::Activity.build(1);
         let before = PassMetrics {
             size: 10,
             depth: 5,
@@ -1370,7 +1237,7 @@ mod tests {
         assert!(pass.improved(&before, &larger_but_calmer));
         assert!(!pass.improved(&larger_but_calmer, &before));
         // The default (objective-cost) rule still drives the others.
-        let size_pass = SizePass::default();
+        let size_pass = PassKind::Size.build(1);
         assert!(size_pass.improved(
             &before,
             &PassMetrics {

@@ -46,7 +46,7 @@
 //!
 //! The per-node gain is an estimate, not a proof: `saved` comes from the
 //! *source* graph's fanout counts, while sharing materializes in the
-//! destination graph. The pass-level guard in [`optimize_rewrite`] —
+//! destination graph. The pass-level guard in `optimize_rewrite` —
 //! keep a sweep only if the cleaned result strictly improves
 //! `(size, depth)` — is what makes the optimization monotone end to end.
 
@@ -75,72 +75,26 @@ const PAR_THRESHOLD: usize = 128;
 /// round.
 const ROUNDS_PER_EFFORT: usize = 4;
 
-/// Candidate-slot storage width per node. With the default `max_cuts`
-/// of 8 this holds every non-unit cut, so the commit-side scoring sees
-/// the full candidate space (quality is never traded for cache hits).
+/// Candidate-slot storage width per node, and the number of priority
+/// cuts every rewrite keeps per node (plus the unit cut): the commit-side
+/// scoring sees the full candidate space (quality is never traded for
+/// cache hits).
 const MAX_NODE_CANDS: usize = 8;
 
-/// Tuning knobs for [`optimize_rewrite`].
-#[derive(Debug, Clone)]
-pub struct RewriteConfig {
-    /// Maximum cut width (clamped to 2..=4; truth tables are 16-bit).
-    pub cut_size: usize,
-    /// Priority-cut bound: how many cuts are kept per node (plus the
-    /// unit cut). Clamped to 1..=8 — the candidate-slot width — so the
-    /// commit phase always scores every stored cut.
-    pub max_cuts: usize,
-    /// Rewrite → eliminate round budget (each unit buys
-    /// several incremental sweeps; the pass stops early at a fixpoint).
-    pub effort: usize,
-    /// Evaluate-phase worker threads (`0` = available parallelism,
-    /// capped at 16). The thread count never changes the result:
-    /// evaluation is read-only and commits are serialized
-    /// deterministically.
-    pub jobs: usize,
-    /// Acceptance objective. [`Objective::SizeThenDepth`] (the default)
-    /// is classic size rewriting: a replacement must save nodes, with
-    /// local depth as the tiebreak. [`Objective::DepthThenSize`] is the
-    /// depth-aware mode (the `depth_rewrite` flow pass): a replacement
-    /// must land its root at a strictly lower level — never adding nodes
-    /// — with the node gain as the tiebreak, and the sweep-level guard
-    /// keeps the best `(depth, size)` graph instead of `(size, depth)`.
-    pub goal: Objective,
-}
+/// Maximum cut width of every rewrite (truth tables are 16-bit).
+const CUT_SIZE: usize = 4;
 
-impl Default for RewriteConfig {
-    fn default() -> Self {
-        RewriteConfig {
-            cut_size: 4,
-            max_cuts: 8,
-            effort: 2,
-            jobs: 0,
-            goal: Objective::SizeThenDepth,
-        }
-    }
-}
-
-impl RewriteConfig {
-    /// The concrete worker count this configuration resolves to: `jobs`
-    /// itself, or the machine's available parallelism when it is 0, in
-    /// both cases capped at 16. Exposed so harnesses (`mighty bench`)
-    /// can record the thread count a run actually used.
-    pub fn resolved_jobs(&self) -> usize {
-        let n = if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.jobs
-        };
-        n.clamp(1, MAX_JOBS)
-    }
-}
-
-/// Resolves a `jobs` knob to a concrete worker count.
-fn resolve_jobs(jobs: usize) -> usize {
-    RewriteConfig {
-        jobs,
-        ..RewriteConfig::default()
-    }
-    .resolved_jobs()
+/// The concrete evaluate-phase worker count a `jobs` setting resolves
+/// to: `jobs` itself, or the machine's available parallelism when it is
+/// 0, in both cases capped at 16. Public so harnesses (`mighty bench`)
+/// can record the thread count a run actually used.
+pub fn resolve_jobs(jobs: usize) -> usize {
+    let n = if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        jobs
+    };
+    n.clamp(1, MAX_JOBS)
 }
 
 /// Deterministic contiguous chunk `i` of `jobs` over `len` items.
@@ -665,15 +619,20 @@ fn translate_cut(cut: &Cut, map: &[Signal], out_flip: bool, target: usize) -> Op
 
 /// Boolean rewriting: repeatedly rewrites cuts against the database and
 /// recovers size with `Ω.D` elimination, keeping the best graph seen
-/// under `config.goal` — `(size, depth)` in the default size mode,
-/// `(depth, size)` in the depth-aware mode. The result is functionally
-/// equivalent to the input, never larger, and bit-identical for every
-/// `jobs` setting.
+/// under `goal` — `(size, depth)` for the `rewrite` pass, `(depth,
+/// size)` for `depth_rewrite`. Under the depth goal a replacement must
+/// land its root at a strictly lower level, never adding nodes, with the
+/// node gain as the tiebreak. `effort` buys [`ROUNDS_PER_EFFORT`]
+/// rewrite → eliminate rounds per unit (the pass stops early at a
+/// fixpoint); `jobs` evaluate-phase workers ([`resolve_jobs`]) never
+/// change the result. The output is functionally equivalent to the
+/// input, never worse under `goal`, and shares one arena pool and one
+/// cut/canonization cache with the rest of the flow.
 ///
 /// # Example
 ///
 /// ```
-/// use mig_core::{Mig, optimize_rewrite, RewriteConfig};
+/// use mig_core::{Flow, Mig, OptContext};
 ///
 /// // XOR3 built from two cascaded 3-node XOR2s: 6 nodes. The database
 /// // holds the paper's optimal 3-node XOR3 structure (Fig. 2(b)).
@@ -685,31 +644,23 @@ fn translate_cut(cut: &Cut, map: &[Signal], out_flip: bool, target: usize) -> Op
 /// let f = mig.xor(t, c);
 /// mig.add_output("f", f);
 /// assert_eq!(mig.size(), 6);
-/// let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+/// let rewrite = Flow::parse("rewrite").unwrap();
+/// let opt = rewrite.run(mig.clone(), 2, &mut OptContext::new());
 /// assert!(opt.equiv(&mig, 4));
 /// assert_eq!(opt.size(), 3);
 /// ```
-pub fn optimize_rewrite(mig: &Mig, config: &RewriteConfig) -> Mig {
-    optimize_rewrite_with(
-        mig,
-        config,
-        &mut OptBuffers::new(),
-        &mut RewriteCache::default(),
-    )
-}
-
-/// [`optimize_rewrite`] with caller-provided buffers, so composite flows
-/// share one arena pool and one cut/canonization cache.
-pub(crate) fn optimize_rewrite_with(
+pub(crate) fn optimize_rewrite(
     mig: &Mig,
-    config: &RewriteConfig,
+    goal: Objective,
+    effort: usize,
+    jobs: usize,
     bufs: &mut OptBuffers,
     rc: &mut RewriteCache,
 ) -> Mig {
     let mut best = mig.cleanup();
-    let rounds = config.effort.max(1) * ROUNDS_PER_EFFORT;
+    let rounds = effort.max(1) * ROUNDS_PER_EFFORT;
     for round in 0..rounds {
-        let swept = rewrite_sweep(&best, config, bufs, rc);
+        let swept = rewrite_sweep(&best, goal, jobs, bufs, rc);
         if swept.is_none() && round > 0 {
             break;
         }
@@ -731,7 +682,7 @@ pub(crate) fn optimize_rewrite_with(
         let cur = bufs.cleanup(&e);
         rc.translate(&e, &cur, &bufs.map);
         bufs.recycle(e);
-        if config.goal.of(&cur) < config.goal.of(&best) {
+        if goal.of(&cur) < goal.of(&best) {
             bufs.recycle(std::mem::replace(&mut best, cur));
         } else {
             bufs.recycle(cur);
@@ -789,17 +740,14 @@ struct EvalCtx<'a> {
 /// fixpoint; the cache still describes `old`).
 fn rewrite_sweep(
     old: &Mig,
-    config: &RewriteConfig,
+    goal: Objective,
+    jobs: usize,
     bufs: &mut OptBuffers,
     rc: &mut RewriteCache,
 ) -> Option<Mig> {
-    let k = config.cut_size.clamp(2, 4);
-    // The upper bound matches the candidate-slot width, so every stored
-    // cut has a slot and the commit phase scores the full cut set.
-    let max_cuts = config.max_cuts.clamp(1, MAX_NODE_CANDS);
-    let jobs = resolve_jobs(config.jobs);
+    let jobs = resolve_jobs(jobs);
     let db = MigDatabase::global();
-    rc.bind(old, max_cuts + 1);
+    rc.bind(old, MAX_NODE_CANDS + 1);
 
     {
         let mark = old.reach_ref();
@@ -820,7 +768,7 @@ fn rewrite_sweep(
     sort_worklist_by_level(rc, old);
 
     let mut workers = rc.workers.take_n(jobs);
-    enumerate_changed(old, rc, k, max_cuts, jobs, &mut workers);
+    enumerate_changed(old, rc, CUT_SIZE, MAX_NODE_CANDS, jobs, &mut workers);
     evaluate(old, rc, db, jobs, &mut workers);
     rc.workers.put_all(workers);
     let have_cands = rc.worklist.iter().any(|&i| rc.ncands[i as usize] != 0);
@@ -828,7 +776,7 @@ fn rewrite_sweep(
         return None;
     }
 
-    let (new, committed) = commit(old, rc, bufs, db, config.goal);
+    let (new, committed) = commit(old, rc, bufs, db, goal);
     if committed == 0 {
         // Every candidate was rejected by the destination-side
         // re-validation: the rebuild is a verbatim copy, drop it.
@@ -1577,6 +1525,23 @@ mod tests {
         enumerate_full(mig, k, max_cuts, rc);
     }
 
+    /// The `rewrite` pass at effort 2 on `jobs` workers, with fresh
+    /// buffers and a cold cache.
+    fn rewrite_with_jobs(mig: &Mig, jobs: usize) -> Mig {
+        optimize_rewrite(
+            mig,
+            Objective::SizeThenDepth,
+            2,
+            jobs,
+            &mut OptBuffers::new(),
+            &mut RewriteCache::default(),
+        )
+    }
+
+    fn rewrite(mig: &Mig) -> Mig {
+        rewrite_with_jobs(mig, 0)
+    }
+
     #[test]
     fn xor3_rewrites_to_database_optimum() {
         let (mut mig, a, b, c) = three_inputs();
@@ -1584,7 +1549,7 @@ mod tests {
         let f = mig.xor(t, c);
         mig.add_output("f", f);
         assert_eq!(mig.size(), 6);
-        let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+        let opt = rewrite(&mig);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.size(), 3, "database holds the 3-node XOR3");
     }
@@ -1599,7 +1564,7 @@ mod tests {
         let f = mig.or(p, q);
         mig.add_output("f", f);
         assert_eq!(mig.size(), 3);
-        let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+        let opt = rewrite(&mig);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.size(), 0);
         assert_eq!(opt.outputs()[0].1, opt.input(0));
@@ -1613,7 +1578,7 @@ mod tests {
         let q = mig.or(!a, !b);
         let f = mig.and(p, q);
         mig.add_output("f", f);
-        let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+        let opt = rewrite(&mig);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.size(), 0);
         assert!(opt.outputs()[0].1.is_constant());
@@ -1633,7 +1598,7 @@ mod tests {
         mig.add_output("y", m4);
         mig.add_output("z", m2);
         let before = mig.size();
-        let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+        let opt = rewrite(&mig);
         assert!(opt.equiv(&mig, 4));
         assert!(opt.size() <= before, "{} > {}", opt.size(), before);
     }
@@ -1647,7 +1612,7 @@ mod tests {
         let f = mig.xor(t, c);
         mig.add_output("f", f);
         mig.add_output("t", t); // t has external fanout
-        let opt = optimize_rewrite(&mig, &RewriteConfig::default());
+        let opt = rewrite(&mig);
         assert!(opt.equiv(&mig, 4));
         assert!(opt.size() <= mig.size());
     }
@@ -1668,15 +1633,7 @@ mod tests {
             };
         }
         mig.add_output("y", acc);
-        let run = |jobs: usize| {
-            optimize_rewrite(
-                &mig,
-                &RewriteConfig {
-                    jobs,
-                    ..RewriteConfig::default()
-                },
-            )
-        };
+        let run = |jobs: usize| rewrite_with_jobs(&mig, jobs);
         let base = run(1);
         for jobs in [2, 4, 8] {
             let other = run(jobs);
@@ -1703,10 +1660,10 @@ mod tests {
         mig.add_output("f", f);
         let mut bufs = OptBuffers::new();
         let mut rc = RewriteCache::default();
-        let config = RewriteConfig::default();
-        let first = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc);
-        let second = optimize_rewrite_with(&mig, &config, &mut bufs, &mut rc);
-        let fresh = optimize_rewrite(&mig, &config);
+        let goal = Objective::SizeThenDepth;
+        let first = optimize_rewrite(&mig, goal, 2, 0, &mut bufs, &mut rc);
+        let second = optimize_rewrite(&mig, goal, 2, 0, &mut bufs, &mut rc);
+        let fresh = rewrite(&mig);
         for out in [&first, &second] {
             assert_eq!(out.size(), fresh.size());
             assert_eq!(out.depth(), fresh.depth());

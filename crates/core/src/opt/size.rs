@@ -14,37 +14,25 @@ use crate::{Mig, Signal};
 /// The lexicographic objective Algorithm 1 minimizes.
 const OBJECTIVE: Objective = Objective::SizeThenDepth;
 
-/// Tuning knobs for [`optimize_size`].
-#[derive(Debug, Clone)]
-pub struct SizeOptConfig {
-    /// Number of reshape/eliminate cycles (the paper's `effort`).
-    pub effort: usize,
-    /// Gate-count bound when exploring reconvergent cones for `Ψ.R`.
-    pub cone_limit: usize,
-    /// Whether reshaping may apply `Ψ.S` (temporarily inflates the MIG).
-    pub use_substitution: bool,
-}
+/// Gate-count bound when exploring reconvergent cones for `Ψ.R`, in
+/// every pass that reshapes with it (size, depth, activity).
+pub(crate) const CONE_LIMIT: usize = 40;
 
-impl Default for SizeOptConfig {
-    fn default() -> Self {
-        SizeOptConfig {
-            effort: 4,
-            cone_limit: 40,
-            use_substitution: true,
-        }
-    }
-}
-
-/// Algorithm 1: reduces the number of majority nodes.
+/// Algorithm 1: reduces the number of majority nodes in `effort`
+/// reshape/eliminate cycles (the paper's `effort`); `use_substitution`
+/// lets a stuck cycle kick with `Ψ.S`, which temporarily inflates the
+/// MIG. The `size` flow pass runs it with the substitution kick on; the
+/// activity pass's size recovery runs one cycle without it.
 ///
 /// The result is functionally equivalent to the input (every step is an
 /// `Ω`/`Ψ` identity) and never larger: the smallest MIG seen across all
-/// cycles is returned.
+/// cycles is returned. The caller's buffers let composite flows share
+/// one arena pool across every pass they run.
 ///
 /// # Example
 ///
 /// ```
-/// use mig_core::{Mig, optimize_size, SizeOptConfig};
+/// use mig_core::{Flow, Mig, OptContext};
 ///
 /// let mut mig = Mig::new("redundant");
 /// let a = mig.add_input("a");
@@ -54,22 +42,21 @@ impl Default for SizeOptConfig {
 /// let inner = mig.maj(a, b, c);
 /// let outer = mig.maj(a, b, inner);
 /// mig.add_output("y", outer);
-/// let opt = optimize_size(&mig, &SizeOptConfig::default());
+/// let size = Flow::parse("size").unwrap();
+/// let opt = size.run(mig.clone(), 4, &mut OptContext::new());
 /// assert!(opt.equiv(&mig, 4));
 /// assert_eq!(opt.size(), 1);
 /// ```
-pub fn optimize_size(mig: &Mig, config: &SizeOptConfig) -> Mig {
-    optimize_size_with(mig, config, &mut OptBuffers::new())
-}
-
-/// [`optimize_size`] with caller-provided rebuild buffers, so composite
-/// flows (depth/activity recovery, the bench harness) share one arena
-/// pool across every pass they run.
-pub(crate) fn optimize_size_with(mig: &Mig, config: &SizeOptConfig, bufs: &mut OptBuffers) -> Mig {
+pub(crate) fn optimize_size(
+    mig: &Mig,
+    effort: usize,
+    use_substitution: bool,
+    bufs: &mut OptBuffers,
+) -> Mig {
     let mut best = mig.cleanup();
-    for cycle in 0..config.effort {
+    for cycle in 0..effort {
         let a = eliminate_pass(&best, bufs);
-        let b = reshape_pass(&a, config.cone_limit, bufs);
+        let b = reshape_pass(&a, bufs);
         bufs.recycle(a);
         let c = eliminate_pass(&b, bufs);
         bufs.recycle(b);
@@ -85,13 +72,13 @@ pub(crate) fn optimize_size_with(mig: &Mig, config: &SizeOptConfig, bufs: &mut O
         // leaves the reachable graph as it was would replay the cycle
         // just rejected (every phase rebuilds only reachable nodes), so
         // it ends the search instead.
-        if config.use_substitution {
+        if use_substitution {
             let Some(kicked) = substitution_kick(&best, cycle) else {
                 break;
             };
             let k1 = eliminate_pass(&kicked, bufs);
             bufs.recycle(kicked);
-            let k2 = reshape_pass(&k1, config.cone_limit, bufs);
+            let k2 = reshape_pass(&k1, bufs);
             bufs.recycle(k1);
             let k3 = eliminate_pass(&k2, bufs);
             bufs.recycle(k2);
@@ -138,18 +125,12 @@ pub(crate) fn eliminate_pass(mig: &Mig, bufs: &mut OptBuffers) -> Mig {
 
 /// Builds `M(a,b,c)` but first tries the `Ψ.R` relevance rewrites on every
 /// role assignment; keeps the variant with the smallest bounded cone.
-pub(crate) fn maj_with_relevance(
-    new: &mut Mig,
-    a: Signal,
-    b: Signal,
-    c: Signal,
-    cone_limit: usize,
-) -> Signal {
+pub(crate) fn maj_with_relevance(new: &mut Mig, a: Signal, b: Signal, c: Signal) -> Signal {
     let base = new.maj(a, b, c);
     let Some(_) = new.as_maj(base) else {
         return base;
     };
-    let Some(base_size) = new.cone_size_within(base, cone_limit) else {
+    let Some(base_size) = new.cone_size_within(base, CONE_LIMIT) else {
         return base;
     };
     let mut best = base;
@@ -165,11 +146,11 @@ pub(crate) fn maj_with_relevance(
             if x.is_constant() {
                 continue;
             }
-            if new.cone_contains(z, x.node(), cone_limit) != Some(true) {
+            if new.cone_contains(z, x.node(), CONE_LIMIT) != Some(true) {
                 continue;
             }
             let cand = new.psi_r(x, y, z);
-            let cand_size = new.cone_size_within(cand, cone_limit).unwrap_or(usize::MAX);
+            let cand_size = new.cone_size_within(cand, CONE_LIMIT).unwrap_or(usize::MAX);
             if cand_size < best_size {
                 best = cand;
                 best_size = cand_size;
@@ -182,15 +163,15 @@ pub(crate) fn maj_with_relevance(
 /// Reshaping: applies `Ψ.R` directly and explores `Ω.A`/`Ψ.C` moves whose
 /// relevance-aware inner reconstruction shrinks the local cone (this is
 /// the composition that solves the paper's Fig. 2(a) automatically).
-pub(crate) fn reshape_pass(mig: &Mig, cone_limit: usize, bufs: &mut OptBuffers) -> Mig {
+pub(crate) fn reshape_pass(mig: &Mig, bufs: &mut OptBuffers) -> Mig {
     let mut fanout = std::mem::take(&mut bufs.fanout);
     mig.fanout_counts_into(&mut fanout);
     let out = bufs.rebuild(mig, |new, kids, old_id| {
-        let base = maj_with_relevance(new, kids[0], kids[1], kids[2], cone_limit);
+        let base = maj_with_relevance(new, kids[0], kids[1], kids[2]);
         let Some(_) = new.as_maj(base) else {
             return base;
         };
-        let base_size = new.cone_size_within(base, cone_limit);
+        let base_size = new.cone_size_within(base, CONE_LIMIT);
         let Some(base_size) = base_size else {
             return base;
         };
@@ -217,9 +198,9 @@ pub(crate) fn reshape_pass(mig: &Mig, cone_limit: usize, bufs: &mut OptBuffers) 
                         .iter()
                         .find(|&&s| s != shared && s != swap_out)
                         .expect("three distinct fanins");
-                    let new_inner = maj_with_relevance(new, t, shared, outer_other, cone_limit);
-                    let cand = maj_with_relevance(new, swap_out, shared, new_inner, cone_limit);
-                    let cand_size = new.cone_size_within(cand, cone_limit).unwrap_or(usize::MAX);
+                    let new_inner = maj_with_relevance(new, t, shared, outer_other);
+                    let cand = maj_with_relevance(new, swap_out, shared, new_inner);
+                    let cand_size = new.cone_size_within(cand, CONE_LIMIT).unwrap_or(usize::MAX);
                     if cand_size < best_size {
                         best = cand;
                         best_size = cand_size;
@@ -232,7 +213,7 @@ pub(crate) fn reshape_pass(mig: &Mig, cone_limit: usize, bufs: &mut OptBuffers) 
                     continue;
                 }
                 if let Some(cand) = new.psi_c(other, u, z) {
-                    let cand_size = new.cone_size_within(cand, cone_limit).unwrap_or(usize::MAX);
+                    let cand_size = new.cone_size_within(cand, CONE_LIMIT).unwrap_or(usize::MAX);
                     if cand_size < best_size {
                         best = cand;
                         best_size = cand_size;
@@ -299,6 +280,11 @@ pub(crate) fn substitution_kick(mig: &Mig, salt: usize) -> Option<Mig> {
 mod tests {
     use super::*;
 
+    /// Algorithm 1 at effort 4 with fresh buffers.
+    fn size(mig: &Mig) -> Mig {
+        optimize_size(mig, 4, true, &mut OptBuffers::new())
+    }
+
     fn four_inputs() -> (Mig, Signal, Signal, Signal, Signal) {
         let mut mig = Mig::new("t");
         let a = mig.add_input("a");
@@ -349,7 +335,7 @@ mod tests {
         let h = mig.maj(x, m1, m2);
         mig.add_output("h", h);
         assert_eq!(mig.size(), 3);
-        let opt = optimize_size(&mig, &SizeOptConfig::default());
+        let opt = size(&mig);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.size(), 0, "optimal size is 0 (h ≡ x)");
         assert_eq!(opt.outputs()[0].1, opt.input(0));
@@ -366,7 +352,7 @@ mod tests {
         mig.add_output("f", top);
         let _ = d;
         assert_eq!(mig.size(), 2);
-        let opt = optimize_size(&mig, &SizeOptConfig::default());
+        let opt = size(&mig);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.size(), 1);
     }
@@ -381,7 +367,7 @@ mod tests {
         let n4 = mig.mux(d, n3, n1);
         mig.add_output("f", n4);
         let before = mig.size();
-        let opt = optimize_size(&mig, &SizeOptConfig::default());
+        let opt = size(&mig);
         assert!(opt.equiv(&mig, 4));
         assert!(opt.size() <= before, "{} > {}", opt.size(), before);
     }
@@ -407,7 +393,7 @@ mod tests {
         let x1 = mig.xor(a, b);
         let x2 = mig.xor(x1, c);
         mig.add_output("f", x2);
-        let opt = optimize_size(&mig, &SizeOptConfig::default());
+        let opt = size(&mig);
         assert!(opt.equiv(&mig, 4));
         assert_eq!(opt.size(), 3, "Ψ.S kick finds the 3-node XOR3 MIG");
     }
@@ -421,7 +407,7 @@ mod tests {
         let x1 = mig.xor(a, b);
         let x2 = mig.xor(x1, c);
         mig.add_output("f", x2);
-        let opt = optimize_size(&mig, &SizeOptConfig::default());
+        let opt = size(&mig);
         assert!(opt.equiv(&mig, 4));
         assert!(opt.size() <= 6);
     }
@@ -442,12 +428,11 @@ mod tests {
         let x2 = m2.xor(x1, c2);
         m2.add_output("f", x2);
 
-        let config = SizeOptConfig::default();
         let mut bufs = OptBuffers::new();
-        let shared1 = optimize_size_with(&m1, &config, &mut bufs);
-        let shared2 = optimize_size_with(&m2, &config, &mut bufs);
-        let fresh1 = optimize_size(&m1, &config);
-        let fresh2 = optimize_size(&m2, &config);
+        let shared1 = optimize_size(&m1, 4, true, &mut bufs);
+        let shared2 = optimize_size(&m2, 4, true, &mut bufs);
+        let fresh1 = size(&m1);
+        let fresh2 = size(&m2);
         assert_eq!(shared1.size(), fresh1.size());
         assert_eq!(shared1.depth(), fresh1.depth());
         assert_eq!(shared2.size(), fresh2.size());
@@ -461,7 +446,7 @@ mod tests {
         let (mut mig, a, b, c, _d) = four_inputs();
         let m = mig.maj(a, b, c);
         mig.add_output("f", m);
-        let opt = optimize_size(&mig, &SizeOptConfig::default());
+        let opt = size(&mig);
         assert_eq!(opt.size(), 1);
         assert!(opt.equiv(&mig, 4));
     }

@@ -111,11 +111,15 @@
 
 use std::fmt::Write as _;
 
-use mig_core::{Flow, Mig, OptContext, PassMetrics, PassReport, RewriteConfig};
+use mig_core::{resolve_jobs, Flow, Mig, OptContext, PassMetrics, PassReport};
 use mig_netlist::Network;
 use mig_techmap::CellLibrary;
 
 use crate::{map_verified, optimize, RunOptions};
+
+/// Effort of a full-suite sweep, applied uniformly to every pass so a
+/// single number describes the run.
+const FULL_EFFORT: usize = 4;
 
 /// The canonical default flow: the v3 harness's fixed size → rewrite →
 /// depth → activity pipeline as a flow script.
@@ -187,15 +191,15 @@ pub struct BenchConfig {
 }
 
 impl BenchConfig {
-    /// Full-suite defaults: every benchmark with Algorithm 1's default
-    /// effort (4) applied uniformly to all passes, so a single number
-    /// describes the run (the configuration the perf trajectory tracks;
-    /// note `mighty opt` instead defaults to effort 2).
+    /// Full-suite defaults: every benchmark at effort 4 applied
+    /// uniformly to all passes, so a single number describes the run
+    /// (the configuration the perf trajectory tracks; note `mighty opt`
+    /// instead defaults to effort 2).
     pub fn full() -> Self {
         BenchConfig {
             names: Vec::new(),
             quick: false,
-            effort: mig_core::SizeOptConfig::default().effort,
+            effort: FULL_EFFORT,
             rounds: 8,
             jobs: 0,
             flow: None,
@@ -662,11 +666,7 @@ pub fn run_suite(config: &BenchConfig) -> BenchReport {
     let large_flow = parse(config.flow.as_deref().unwrap_or(LARGE_FLOW));
     let esat_flows = (parse(ESAT_FLOW), parse(ESAT_REF_FLOW));
     let esat = config.esat.then_some((&esat_flows.0, &esat_flows.1));
-    let threads = RewriteConfig {
-        jobs: config.jobs,
-        ..RewriteConfig::default()
-    }
-    .resolved_jobs();
+    let threads = resolve_jobs(config.jobs);
     let mut ctx = OptContext::with_jobs(config.jobs);
     let benchmarks: Vec<BenchRecord> = names
         .iter()

@@ -40,8 +40,10 @@
 //! `module` keyword) or a generated-benchmark name; the server never
 //! reads files. Optional job fields: `rounds`, `timeout_ms`,
 //! `pass_timeout_ms`, `max_nodes`, `selfcheck`, `progress` (stream
-//! per-pass lines). Responses (one line each, all carrying the job
-//! `id`):
+//! per-pass lines). `effort` may be at most 64, `rounds` at most 1024
+//! and a flow's `pass*N` repeat at most 64; a job over a bound gets an
+//! exit-2 `error` line and the connection stays open. Responses (one
+//! line each, all carrying the job `id`):
 //!
 //! ```json
 //! {"type": "progress", "id": 1, "pass": "size", "size": 180, "depth": 12, ...}
@@ -576,6 +578,17 @@ fn error_line(id: &str, code: i64, message: &str) -> String {
     )
 }
 
+/// Largest job `effort`: the optimizers' round budgets are multiples
+/// of it, so an unbounded value could overflow them.
+const MAX_EFFORT: usize = 64;
+
+/// Largest job `rounds`: random equivalence checking stores `outputs ×
+/// rounds` signature words, so the bound caps its cost per output at
+/// the exhaustive check's (1024 words for 16 inputs) and keeps the
+/// product from overflowing. It does not bound the total, which grows
+/// with the output count a request declares.
+const MAX_ROUNDS: usize = 1024;
+
 /// Validates a job request into a ready-to-run [`Job`].
 fn parse_job(value: &Json, id: &str, out: mpsc::Sender<String>) -> Result<Job, (i64, String)> {
     let spec = value
@@ -601,8 +614,14 @@ fn parse_job(value: &Json, id: &str, out: mpsc::Sender<String>) -> Result<Job, (
             )),
         }
     };
-    let effort = get_usize("effort", 2)?.max(1);
-    let rounds = get_usize("rounds", 16)?.max(1);
+    let at_most = |key: &str, default: usize, max: usize| -> Result<usize, (i64, String)> {
+        match get_usize(key, default)? {
+            n if n > max => Err((exit_code::USAGE, format!("`{key}` must be at most {max}"))),
+            n => Ok(n.max(1)),
+        }
+    };
+    let effort = at_most("effort", 2, MAX_EFFORT)?;
+    let rounds = at_most("rounds", 16, MAX_ROUNDS)?;
     let opts = RunOptions {
         timeout_ms: match get_usize("timeout_ms", 0)? {
             0 => None,

@@ -1,11 +1,11 @@
 //! Determinism contract of the parallel-evaluate / serial-commit
-//! rewriting engine: `optimize_rewrite` must produce **bit-identical**
+//! rewriting engine: the `rewrite` pass must produce **bit-identical**
 //! MIGs — same arena, node for node — whatever the `jobs` setting,
 //! because candidate preparation is read-only over an immutable
 //! snapshot and commits are serialized deterministically.
 
 use mig_suite::benchgen::{layered_random, RandomLogicParams};
-use mig_suite::mig::{optimize_rewrite, Mig, RewriteConfig};
+use mig_suite::mig::{Mig, OptContext, PassKind};
 use mig_suite::netlist::SplitMix64;
 
 /// Asserts two MIGs are structurally identical: node counts, per-node
@@ -31,13 +31,11 @@ fn assert_bit_identical(a: &Mig, b: &Mig, what: &str) {
 }
 
 fn rewrite_with_jobs(mig: &Mig, jobs: usize) -> Mig {
-    optimize_rewrite(
-        mig,
-        &RewriteConfig {
-            jobs,
-            ..RewriteConfig::default()
-        },
-    )
+    // `Pass::run` has no rollback wrapper: a panic fails the test
+    // instead of handing back the unchanged input at every `jobs`.
+    PassKind::Rewrite
+        .build(2)
+        .run(&mut OptContext::with_jobs(jobs), mig.clone())
 }
 
 #[test]

@@ -15,7 +15,7 @@
 use std::sync::Mutex;
 
 use mig_suite::benchgen::{generate, layered_random, RandomLogicParams};
-use mig_suite::mig::{Budget, Flow, Mig, OptContext, Pass, PassOutcome, RewritePass};
+use mig_suite::mig::{Budget, Flow, Mig, OptContext, Pass, PassKind, PassOutcome};
 use mig_suite::netlist::SplitMix64;
 
 /// Number of 64-pattern blocks for the random half of equivalence checks.
@@ -122,7 +122,7 @@ fn node_cap_rolls_back_a_growing_pass() {
         max_nodes: Some(mig.size()),
         ..Budget::unlimited()
     });
-    let out = ctx.run_pass(&mig_suite::mig::DepthPass::default(), mig);
+    let out = ctx.run_pass(&*PassKind::Depth.build(6), mig);
     assert_same_mig(&out, &snapshot);
     let ledger = ctx.take_ledger();
     assert_eq!(ledger[0].outcome, PassOutcome::RolledBack);
@@ -191,7 +191,7 @@ fn spot_check_rejects_a_corrupting_pass() {
         ledger[0].note
     );
     // An honest pass under the same spot check sails through.
-    let out2 = ctx.run_pass(&mig_suite::mig::SizePass::default(), out);
+    let out2 = ctx.run_pass(&*PassKind::Size.build(4), out);
     assert_eq!(ctx.take_ledger()[0].outcome, PassOutcome::Completed);
     assert!(out2.equiv(&snapshot, ROUNDS));
 }
@@ -204,7 +204,7 @@ fn spot_check_rejects_a_corrupting_pass() {
 fn clean_pass_after_rollback_matches_from_scratch() {
     let _g = lock();
     let mut rng = SplitMix64::seed_from_u64(0x0DD5_EED5_0F57_A7E5);
-    let rewrite = RewritePass::default();
+    let rewrite = PassKind::Rewrite.build(2);
     for case in 0..6 {
         let params = RandomLogicParams {
             inputs: 6 + (rng.next_u64() % 4) as usize,
@@ -220,10 +220,10 @@ fn clean_pass_after_rollback_matches_from_scratch() {
         // corrupting pass (rolled back by the spot check), rewrite.
         let mut faulty = OptContext::with_jobs(1);
         faulty.set_spot_check(ROUNDS);
-        let mut cur = faulty.run_pass(&rewrite, mig.clone());
+        let mut cur = faulty.run_pass(&*rewrite, mig.clone());
         cur = faulty.run_pass(&PanicPass, cur);
         cur = faulty.run_pass(&CorruptPass, cur);
-        let from_faulty = faulty.run_pass(&rewrite, cur);
+        let from_faulty = faulty.run_pass(&*rewrite, cur);
         let outcomes: Vec<PassOutcome> = faulty.take_ledger().iter().map(|r| r.outcome).collect();
         assert_eq!(
             outcomes,
@@ -238,8 +238,8 @@ fn clean_pass_after_rollback_matches_from_scratch() {
 
         // Clean trajectory: the same two rewrites, nothing in between.
         let mut clean = OptContext::with_jobs(1);
-        let cur = clean.run_pass(&rewrite, mig.clone());
-        let from_clean = clean.run_pass(&rewrite, cur);
+        let cur = clean.run_pass(&*rewrite, mig.clone());
+        let from_clean = clean.run_pass(&*rewrite, cur);
 
         assert_same_mig(&from_faulty, &from_clean);
         assert!(from_faulty.equiv(&mig, ROUNDS), "case {case}");

@@ -4,12 +4,19 @@
 //! database match must deliver a strict improvement (the measured deltas
 //! live in `EXPERIMENTS.md`).
 
-use mig_suite::mig::{optimize_rewrite, optimize_size, Mig, RewriteConfig, SizeOptConfig};
+use mig_suite::mig::{Mig, OptContext, PassKind};
 
 /// Number of 64-pattern blocks for the random half of equivalence checks.
 const ROUNDS: usize = 16;
 
-/// Runs `optimize_size` then `optimize_rewrite` on one benchmark and
+/// Runs the built-in pass `kind` on `mig` at `effort` in a fresh
+/// context. `Pass::run` calls the optimizer directly, without the
+/// rollback wrapper of `OptContext::run_pass`, so a panic fails the test.
+fn run(kind: PassKind, mig: &Mig, effort: usize) -> Mig {
+    kind.build(effort).run(&mut OptContext::new(), mig.clone())
+}
+
+/// Runs the `size` pass then the `rewrite` pass on one benchmark and
 /// returns `(import, after_size, after_rewrite)` sizes, asserting
 /// equivalence and monotonicity at each stage.
 fn sizes_through_pipeline(bench: &str) -> (usize, usize, usize) {
@@ -17,14 +24,14 @@ fn sizes_through_pipeline(bench: &str) -> (usize, usize, usize) {
     let mig = Mig::from_network(&net);
     let import = mig.size();
 
-    let sized = optimize_size(&mig, &SizeOptConfig::default());
+    let sized = run(PassKind::Size, &mig, 4);
     assert!(
         sized.equiv(&mig, ROUNDS),
         "{bench}: size pass broke equivalence"
     );
     assert!(sized.size() <= import, "{bench}: size pass grew the MIG");
 
-    let rewritten = optimize_rewrite(&sized, &RewriteConfig::default());
+    let rewritten = run(PassKind::Rewrite, &sized, 2);
     assert!(
         rewritten.equiv(&mig, ROUNDS),
         "{bench}: rewrite pass broke equivalence"
@@ -69,7 +76,7 @@ fn rewrite_alone_handles_an_unoptimized_import() {
     // still monotone, and the XOR-dominated adder collapses hard.
     let net = mig_suite::benchgen::generate("my_adder").unwrap();
     let mig = Mig::from_network(&net);
-    let rewritten = optimize_rewrite(&mig, &RewriteConfig::default());
+    let rewritten = run(PassKind::Rewrite, &mig, 2);
     assert!(rewritten.equiv(&mig, ROUNDS));
     assert!(rewritten.size() < mig.size());
 }

@@ -3,7 +3,7 @@
 //! equivalence at every hand-off. This is the full pipeline every
 //! experiment in `EXPERIMENTS.md` flows through.
 
-use mig_suite::mig::{optimize_size, Mig, SizeOptConfig};
+use mig_suite::mig::{Mig, OptContext, PassKind};
 use mig_suite::netlist::{parse_verilog, write_verilog};
 use mig_suite::sim::equivalent;
 
@@ -24,7 +24,9 @@ fn roundtrip(bench: &str) {
 
     // Import into a MIG and optimize for size (Algorithm 1).
     let mig = Mig::from_network(&parsed);
-    let opt = optimize_size(&mig, &SizeOptConfig::default());
+    // `Pass::run` has no rollback wrapper: a panic fails the test.
+    let size = PassKind::Size.build(4);
+    let opt = size.run(&mut OptContext::new(), mig.clone());
     assert!(
         opt.size() <= mig.size(),
         "{bench}: optimizer must never grow the MIG"

@@ -251,8 +251,33 @@ fn malformed_requests_get_errors_and_the_connection_survives() {
     client.send("{\"op\": \"dance\"}");
     let v = client.recv();
     assert_eq!(v.get_num("exit_code"), Some(2.0));
-    // The same connection still serves real work afterwards.
-    client.send("{\"id\": 5, \"netlist\": \"count\", \"flow\": \"size\", \"effort\": 1}");
+    // Sizes over their bounds: a huge `pass*N` would grow the ledger
+    // without limit, a huge `rounds` would abort the process on its
+    // signature allocation, a huge `effort` would overflow the rewrite
+    // round budget. `dalu` has more than 16 inputs, so its equivalence
+    // check is the random one that `rounds` sizes.
+    for (fields, bound) in [
+        ("\"flow\": \"size*1000000000000\"", "at most 64"),
+        ("\"flow\": \"size*65\"", "at most 64"),
+        ("\"rounds\": 1e12", "`rounds` must be at most 1024"),
+        ("\"rounds\": 1025", "`rounds` must be at most 1024"),
+        ("\"effort\": 1e18", "`effort` must be at most 64"),
+        ("\"effort\": 65", "`effort` must be at most 64"),
+    ] {
+        client.send(&format!("{{\"id\": 6, \"netlist\": \"dalu\", {fields}}}"));
+        let v = client.recv();
+        assert_eq!(v.get_str("type"), Some("error"), "{fields}");
+        assert_eq!(v.get_num("exit_code"), Some(2.0), "{fields}");
+        let message = v.get_str("message").expect("message");
+        assert!(message.contains(bound), "{fields}: {message}");
+        client.send("{\"op\": \"ping\"}");
+        assert_eq!(client.recv().get_str("type"), Some("pong"), "{fields}");
+    }
+    // The same connection still serves real work afterwards, with
+    // `pass*N` and `rounds` at their bounds.
+    client.send(
+        "{\"id\": 5, \"netlist\": \"count\", \"flow\": \"size*64\", \"rounds\": 1024, \"effort\": 1}",
+    );
     let v = client.recv_final();
     assert_eq!(v.get_str("type"), Some("result"));
     assert_eq!(v.get_num("exit_code"), Some(0.0));
