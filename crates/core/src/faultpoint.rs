@@ -236,16 +236,23 @@ pub fn corrupt_u16(site: &str, value: u16) -> u16 {
     value
 }
 
+/// Serializes the tests that set the process-wide plan with the ones
+/// that must run without a plan tripping.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    // A panicking test poisons the mutex; later tests only need mutual
+    // exclusion, not the poison signal.
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Serialize tests that touch the process-wide plan.
-    static GATE: Mutex<()> = Mutex::new(());
-
     #[test]
     fn plan_parsing_accepts_the_documented_grammar() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_lock();
         configure("rewrite.npn:panic:5:7, techmap.map:delay20, *:corrupt").unwrap();
         let s = stats();
         assert_eq!(s.len(), 3);
@@ -259,7 +266,7 @@ mod tests {
 
     #[test]
     fn one_in_rules_trip_deterministically() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_lock();
         configure("site:corrupt:3:42").unwrap();
         let first: Vec<u16> = (0..32).map(|_| corrupt_u16("site", 0)).collect();
         configure("site:corrupt:3:42").unwrap();
@@ -274,7 +281,7 @@ mod tests {
 
     #[test]
     fn panic_rules_panic_with_a_recognizable_payload() {
-        let _g = GATE.lock().unwrap();
+        let _g = test_lock();
         configure("boom:panic").unwrap();
         let err = std::panic::catch_unwind(|| hit("boom")).unwrap_err();
         let msg = err.downcast_ref::<String>().expect("string payload");

@@ -22,7 +22,8 @@
 //! * `activity` — Section IV-C (switching activity),
 //! * `rewrite` / `depth_rewrite` — cut-based Boolean rewriting against
 //!   the NPN database, in size- and depth-oriented acceptance modes,
-//! * `esat` / `depth_esat` — equality saturation ([`EsatPass`]),
+//! * `esat` / `depth_esat` — equality saturation: the axioms as
+//!   bidirectional rules over an e-graph, with cost-based extraction,
 //! * `map_area` / `map_delay` — mapped-cost recovery around a
 //!   [`TechModel`].
 //!
@@ -65,10 +66,9 @@ pub(crate) mod strash;
 
 pub use crate::mig::Mig;
 pub use opt::{
-    enumerate_cuts, resolve_jobs, Budget, Cost, CutSet, EGraph, ELit, EnumeratedCut, EsatConfig,
-    EsatPass, EsatRule, EsatStats, Flow, FlowStep, LevelStats, MappedMetrics, Objective,
-    OptContext, Pass, PassKind, PassMetrics, PassOutcome, PassReport, Repeat, StopReason,
-    TechModel,
+    enumerate_cuts, resolve_jobs, Budget, Cost, CutSet, EnumeratedCut, Flow, FlowStep, LevelStats,
+    MappedMetrics, Objective, OptContext, Pass, PassKind, PassMetrics, PassOutcome, PassReport,
+    Repeat, TechModel,
 };
 pub use signal::{NodeId, Signal};
 

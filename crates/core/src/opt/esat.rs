@@ -48,10 +48,10 @@
 //! * `Ψ.R` relevance (one-level instance) — in `M(x,y,M(…x…))` the inner
 //!   occurrence of `x` may be replaced by `y'`.
 //!
-//! [`EsatRule`] enumerates the full axiom list (structural rules
-//! included) with paper references and executable instantiations; the
-//! axiom-soundness test harness simulates every rule in both directions
-//! over random graphs.
+//! The tests' `EsatRule` enumerates the full axiom list (structural
+//! rules included) with paper references and executable
+//! instantiations; the axiom-soundness tests simulate every rule in both
+//! directions over random graphs.
 //!
 //! # Budgets and extraction
 //!
@@ -60,16 +60,19 @@
 //! the pipeline's [`Budget`] (`max_nodes` bounds
 //! the e-graph, `pass_ms` bounds saturation time). Extraction picks, per
 //! e-class, the representative minimizing the objective ([`Objective`]),
-//! by a bottom-up cost fixpoint, then rebuilds a strashed [`Mig`]; the
-//! [`EsatPass`] keeps the extraction only when it beats its input
-//! (monotone guard), so the pass can never regress a flow.
+//! by a bottom-up cost fixpoint, then rebuilds a strashed [`Mig`];
+//! [`optimize_esat`] keeps the extraction only when it is no worse than
+//! its input (monotone guard), so the pass can never regress a flow.
+//!
+//! The module is crate-private: a flow reaches it only through the
+//! `esat` and `depth_esat` steps ([`PassKind`](super::PassKind)).
 
 use std::collections::{hash_map, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 use super::depth::optimize_depth;
-use super::pipeline::{Budget, OptContext, Pass, PassKind, TechModel};
+use super::pipeline::Budget;
 use super::rewrite::{optimize_rewrite, RewriteCache};
 use super::size::optimize_size;
 use super::{Objective, OptBuffers};
@@ -84,8 +87,6 @@ pub struct ELit(u32);
 impl ELit {
     /// Constant false (class 0, uncomplemented).
     pub const FALSE: ELit = ELit(0);
-    /// Constant true (class 0, complemented).
-    pub const TRUE: ELit = ELit(1);
 
     fn new(class: u32, complemented: bool) -> ELit {
         ELit(class << 1 | complemented as u32)
@@ -228,51 +229,39 @@ pub enum StopReason {
     Deadline,
 }
 
-/// Counters reported by one [`EGraph::saturate`] run.
-#[derive(Debug, Clone, Copy)]
-pub struct EsatStats {
-    /// Rule-application iterations performed.
-    pub iterations: usize,
-    /// Total e-nodes at the end of the run.
-    pub enodes: usize,
-    /// Total e-classes (including absorbed ones) allocated.
-    pub classes: usize,
-    /// Successful merges performed by rules and congruence repair.
-    pub merges: usize,
-    /// Why the run stopped.
-    pub stopped: StopReason,
-}
+/// Matcher cap of every flow run: how many e-nodes per child class the
+/// nested-pattern rules examine (bounds the quadratic `Ω.D`
+/// right-to-left match).
+const SCAN_CAP: usize = 12;
 
-/// Saturation budget and matcher tuning for one `esat` run.
-///
-/// The defaults are deterministic (no wall-clock limit); the
-/// [`EsatPass`] derives a config from the pipeline
-/// [`Budget`] so `max_nodes` caps the e-graph
-/// and `pass_ms` installs a deadline.
+/// Saturation budget and matcher tuning for one run, derived from the
+/// pass effort and the pipeline [`Budget`] by [`optimize_esat`]; tests
+/// set it directly.
 #[derive(Debug, Clone)]
-pub struct EsatConfig {
+struct EsatConfig {
     /// Rule-application iterations (each applies every rule to every
     /// match of the current e-graph, then restores congruence).
-    pub iters: usize,
+    iters: usize,
     /// Stop growing once the e-graph holds this many e-nodes
     /// (`0` = automatic: `128 × seed + 2048`, clamped to `seed + 500_000`).
-    pub enode_cap: usize,
+    enode_cap: usize,
     /// Optional wall-clock deadline for saturation. **Results become
     /// machine-dependent when set** (like every wall-clock budget in the
-    /// pipeline); leave `None` for deterministic runs.
-    pub time_ms: Option<u64>,
+    /// pipeline).
+    time_ms: Option<u64>,
     /// Matcher cap: how many e-nodes per child class the nested-pattern
-    /// rules examine (bounds the quadratic `Ω.D` right-to-left match).
-    pub scan_cap: usize,
+    /// rules examine.
+    scan_cap: usize,
 }
 
+#[cfg(test)]
 impl Default for EsatConfig {
     fn default() -> Self {
         EsatConfig {
             iters: 16,
             enode_cap: 0,
             time_ms: None,
-            scan_cap: 12,
+            scan_cap: SCAN_CAP,
         }
     }
 }
@@ -715,11 +704,6 @@ impl EGraph {
         g
     }
 
-    /// The constant-false literal.
-    pub fn constant(&self) -> ELit {
-        ELit::FALSE
-    }
-
     /// The literal of primary input `i` (panics if out of range for the
     /// construction-time input count).
     pub fn input(&self, i: usize) -> ELit {
@@ -731,6 +715,7 @@ impl EGraph {
     }
 
     /// Live e-node count.
+    #[cfg(test)]
     pub fn num_enodes(&self) -> usize {
         self.num_enodes
     }
@@ -774,6 +759,7 @@ impl EGraph {
     }
 
     /// Whether two literals are known equal (same class, same parity).
+    #[cfg(test)]
     pub fn same(&mut self, a: ELit, b: ELit) -> bool {
         self.find(a) == self.find(b)
     }
@@ -1232,43 +1218,31 @@ impl EGraph {
         }
     }
 
-    /// Saturates under the config's budgets; see the module docs for the
-    /// rule set. Deterministic unless `config.time_ms` is set.
-    pub fn saturate(&mut self, config: &EsatConfig) -> EsatStats {
+    /// Saturates under the config's budgets and says why it stopped; see
+    /// the module docs for the rule set. Deterministic unless
+    /// `config.time_ms` is set.
+    fn saturate(&mut self, config: &EsatConfig) -> StopReason {
         let cap = config.cap(self.num_enodes);
         let deadline = config
             .time_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
-        let merges_before = self.merges;
-        let mut stopped = StopReason::IterLimit;
-        let mut iterations = 0;
         let mut matches = Matches::default();
         for _ in 0..config.iters.max(1) {
             if self.num_enodes >= cap {
-                stopped = StopReason::NodeLimit;
-                break;
+                return StopReason::NodeLimit;
             }
-            iterations += 1;
             let nodes_before = self.num_enodes;
             let merges_at = self.merges;
             let cut = self.apply_sweep(config.scan_cap.max(1), cap, deadline, &mut matches, |_| {});
             self.rebuild();
             if let Some(reason) = cut {
-                stopped = reason;
-                break;
+                return reason;
             }
             if self.num_enodes == nodes_before && self.merges == merges_at {
-                stopped = StopReason::Saturated;
-                break;
+                return StopReason::Saturated;
             }
         }
-        EsatStats {
-            iterations,
-            enodes: self.num_enodes,
-            classes: self.uf.len(),
-            merges: self.merges - merges_before,
-            stopped,
-        }
+        StopReason::IterLimit
     }
 
     /// How many majority gates an extraction choice emits: one per used
@@ -1520,187 +1494,6 @@ fn find_in(uf: &[ELit], lit: ELit) -> ELit {
     }
 }
 
-/// The paper's axiom set as executable, simulation-testable rules. The
-/// saturation engine implements the structural rules (`Ω.C`, `Ω.M`,
-/// `Ω.I`) in its normal form and the rest in its matcher; this enum is
-/// the single list the axiom-soundness harness iterates so every rule is
-/// covered bidirectionally by batched simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EsatRule {
-    /// `Ω.C` commutativity: `M(x,y,z) = M(y,x,z)` (structural: children
-    /// are kept sorted).
-    OmegaC,
-    /// `Ω.M` majority: `M(x,x,z) = x` and `M(x,x',z) = z` (folded on
-    /// insertion).
-    OmegaM,
-    /// `Ω.A` associativity: `M(x,u,M(y,u,z)) = M(z,u,M(y,u,x))`.
-    OmegaA,
-    /// `Ω.D` distributivity: `M(x,y,M(u,v,z)) = M(M(x,y,u),M(x,y,v),z)`.
-    OmegaD,
-    /// `Ω.I` inverter propagation: `M'(x,y,z) = M(x',y',z')`
-    /// (structural: complement normalization).
-    OmegaI,
-    /// `Ψ.R` relevance, one-level instance:
-    /// `M(x,y,M(z,x,w)) = M(x,y,M(z,y',w))`.
-    PsiR,
-    /// `Ψ.C` complementary associativity:
-    /// `M(x,u,M(y,u',z)) = M(x,u,M(y,x,z))`.
-    PsiC,
-    /// M-associativity: `M(x,u,M(y,u,z)) = M(M(x,u,y),u,z)`.
-    MAssoc,
-}
-
-impl EsatRule {
-    /// Every rule, in paper order.
-    pub const ALL: [EsatRule; 8] = [
-        EsatRule::OmegaC,
-        EsatRule::OmegaM,
-        EsatRule::OmegaA,
-        EsatRule::OmegaD,
-        EsatRule::OmegaI,
-        EsatRule::PsiR,
-        EsatRule::PsiC,
-        EsatRule::MAssoc,
-    ];
-
-    /// Short display name with the paper reference.
-    pub fn name(self) -> &'static str {
-        match self {
-            EsatRule::OmegaC => "Ω.C commutativity",
-            EsatRule::OmegaM => "Ω.M majority",
-            EsatRule::OmegaA => "Ω.A associativity",
-            EsatRule::OmegaD => "Ω.D distributivity",
-            EsatRule::OmegaI => "Ω.I inverter propagation",
-            EsatRule::PsiR => "Ψ.R relevance",
-            EsatRule::PsiC => "Ψ.C complementary associativity",
-            EsatRule::MAssoc => "M-associativity",
-        }
-    }
-
-    /// Builds this rule's left/right-hand sides over the environment
-    /// `[x, u, y, z, w]` inside `mig`, returning one `(lhs, rhs)` signal
-    /// pair per instance (some rules have two). Each pair is functionally
-    /// equal for *any* choice of environment signals — that is exactly
-    /// what the soundness harness verifies by simulation.
-    pub fn instances(self, mig: &mut Mig, env: [Signal; 5]) -> Vec<(Signal, Signal)> {
-        let [x, u, y, z, w] = env;
-        match self {
-            EsatRule::OmegaC => {
-                let lhs = mig.maj(x, u, y);
-                let rhs = mig.maj(u, y, x);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::OmegaM => {
-                let a = mig.maj(x, x, z);
-                let b = mig.maj(x, !x, z);
-                vec![(a, x), (b, z)]
-            }
-            EsatRule::OmegaA => {
-                let li = mig.maj(y, u, z);
-                let lhs = mig.maj(x, u, li);
-                let ri = mig.maj(y, u, x);
-                let rhs = mig.maj(z, u, ri);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::OmegaD => {
-                let li = mig.maj(y, z, w);
-                let lhs = mig.maj(x, u, li);
-                let ra = mig.maj(x, u, y);
-                let rb = mig.maj(x, u, z);
-                let rhs = mig.maj(ra, rb, w);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::OmegaI => {
-                let lhs = !mig.maj(x, u, y);
-                let rhs = mig.maj(!x, !u, !y);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::PsiR => {
-                let li = mig.maj(z, x, w);
-                let lhs = mig.maj(x, u, li);
-                let ri = mig.maj(z, !u, w);
-                let rhs = mig.maj(x, u, ri);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::PsiC => {
-                let li = mig.maj(y, !u, z);
-                let lhs = mig.maj(x, u, li);
-                let ri = mig.maj(y, x, z);
-                let rhs = mig.maj(x, u, ri);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::MAssoc => {
-                let li = mig.maj(y, u, z);
-                let lhs = mig.maj(x, u, li);
-                let ri = mig.maj(x, u, y);
-                let rhs = mig.maj(ri, u, z);
-                vec![(lhs, rhs)]
-            }
-        }
-    }
-
-    /// Builds the two sides as e-graph expressions over literal
-    /// environment `[x, u, y, z, w]` — the engine-level twin of
-    /// [`instances`](EsatRule::instances), used by the bidirectional
-    /// saturation tests.
-    pub fn elit_instances(self, g: &mut EGraph, env: [ELit; 5]) -> Vec<(ELit, ELit)> {
-        let [x, u, y, z, w] = env;
-        match self {
-            EsatRule::OmegaC => {
-                let lhs = g.maj(x, u, y);
-                let rhs = g.maj(u, y, x);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::OmegaM => {
-                let a = g.maj(x, x, z);
-                let b = g.maj(x, x.not(), z);
-                vec![(a, x), (b, z)]
-            }
-            EsatRule::OmegaA => {
-                let li = g.maj(y, u, z);
-                let lhs = g.maj(x, u, li);
-                let ri = g.maj(y, u, x);
-                let rhs = g.maj(z, u, ri);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::OmegaD => {
-                let li = g.maj(y, z, w);
-                let lhs = g.maj(x, u, li);
-                let ra = g.maj(x, u, y);
-                let rb = g.maj(x, u, z);
-                let rhs = g.maj(ra, rb, w);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::OmegaI => {
-                let lhs = g.maj(x, u, y).not();
-                let rhs = g.maj(x.not(), u.not(), y.not());
-                vec![(lhs, rhs)]
-            }
-            EsatRule::PsiR => {
-                let li = g.maj(z, x, w);
-                let lhs = g.maj(x, u, li);
-                let ri = g.maj(z, u.not(), w);
-                let rhs = g.maj(x, u, ri);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::PsiC => {
-                let li = g.maj(y, u.not(), z);
-                let lhs = g.maj(x, u, li);
-                let ri = g.maj(y, x, z);
-                let rhs = g.maj(x, u, ri);
-                vec![(lhs, rhs)]
-            }
-            EsatRule::MAssoc => {
-                let li = g.maj(y, u, z);
-                let lhs = g.maj(x, u, li);
-                let ri = g.maj(x, u, y);
-                let rhs = g.maj(ri, u, z);
-                vec![(lhs, rhs)]
-            }
-        }
-    }
-}
-
 /// Inserts every reachable gate of `mig` into `g` (which must have been
 /// primed with the same input count) and returns the output literals in
 /// output order.
@@ -1747,201 +1540,106 @@ fn seed(mig: &Mig, variants: &[Mig]) -> (EGraph, Vec<ELit>) {
     (g, outs)
 }
 
-/// Saturates `mig`'s e-graph under `config` and extracts one candidate
-/// per requested structural objective (deduplicated request order is the
-/// caller's concern). Shared saturation, per-objective extraction.
+/// Saturates the e-graph of `mig` plus its `variants` under `config`
+/// and extracts the cheapest representative under `objective`.
 fn saturate_and_extract(
     mig: &Mig,
     variants: &[Mig],
     config: &EsatConfig,
-    objectives: &[Objective],
+    objective: Objective,
     bufs: &mut OptBuffers,
-) -> Vec<Mig> {
+) -> Mig {
     let (mut g, outs) = seed(mig, variants);
     g.saturate(config);
-    objectives
-        .iter()
-        .map(|&obj| {
-            let mut arena = bufs.fresh_arena(mig);
-            match g.extract_into(obj, &outs, &mut arena) {
-                Some(sigs) => {
-                    for ((name, _), sig) in mig.outputs().iter().zip(sigs) {
-                        arena.add_output(name.clone(), sig);
-                    }
-                    arena
-                }
-                None => {
-                    // Unreachable for seeded graphs; fall back to a
-                    // verbatim copy so the pass stays total.
-                    bufs.recycle(arena);
-                    bufs.cleanup(mig)
-                }
+    let mut arena = bufs.fresh_arena(mig);
+    match g.extract_into(objective, &outs, &mut arena) {
+        Some(sigs) => {
+            for ((name, _), sig) in mig.outputs().iter().zip(sigs) {
+                arena.add_output(name.clone(), sig);
             }
-        })
-        .collect()
+            arena
+        }
+        None => {
+            // Unreachable for seeded graphs; fall back to a verbatim
+            // copy so the pass stays total.
+            bufs.recycle(arena);
+            bufs.cleanup(mig)
+        }
+    }
 }
 
-/// Equality-saturation rewriting as a [`Pass`] — the `esat` flow step.
+/// Equality-saturation rewriting, the `esat` / `depth_esat` flow steps.
 ///
-/// Seeds an e-graph from the input, saturates the Ω/Ψ rule set under the
-/// pipeline budget (`effort` drives the iteration count,
-/// [`Budget::max_nodes`] caps the e-graph, [`Budget::pass_ms`] installs
-/// a saturation deadline), then extracts the cheapest representative
-/// under the pass objective. The extraction is kept only when it
-/// strictly beats the input under that objective — the pass is monotone
-/// by construction and can never regress a flow.
-///
-/// With a mapped objective ([`Objective::MappedArea`] /
-/// [`Objective::MappedDelay`]) and a [`TechModel`] installed on the
-/// context, both structural extractions are measured through the model
-/// and the best *mapped* cost wins (the input included); without a
-/// model, mapped goals degrade to their structural proxy.
-#[derive(Debug, Clone)]
-pub struct EsatPass {
-    /// The objective extraction minimizes.
-    pub goal: Objective,
-    /// Iteration budget (the flow's uniform effort): saturation runs at
-    /// most `4 × effort` rule sweeps, clamped to `1..=32`.
-    pub effort: usize,
-    /// Saturation tuning; `None` uses [`EsatConfig::default`] with the
-    /// iteration count derived from `effort` and the caps derived from
-    /// the pipeline [`Budget`].
-    pub config: Option<EsatConfig>,
+/// Seeds an e-graph from the input and its [`variants`], saturates the
+/// Ω/Ψ rule set under the pipeline `budget` (`4 × effort` rule sweeps
+/// clamped to `1..=32`, [`Budget::max_nodes`] caps the e-graph,
+/// [`Budget::pass_ms`] installs a saturation deadline), then extracts
+/// the cheapest representative under `goal`. The extraction is kept
+/// when it is no worse than the input under `goal` (ties included, see
+/// [`esat_with`]), so the pass is monotone and can never regress a flow.
+/// `jobs` is the worker count of the depth-rewrite seed; results never
+/// depend on it.
+pub(crate) fn optimize_esat(
+    mig: Mig,
+    goal: Objective,
+    effort: usize,
+    jobs: usize,
+    budget: Budget,
+    bufs: &mut OptBuffers,
+    rc: &mut RewriteCache,
+) -> Mig {
+    let config = EsatConfig {
+        iters: (effort * 4).clamp(1, 32),
+        enode_cap: budget.max_nodes.unwrap_or(0),
+        time_ms: budget.pass_ms,
+        scan_cap: SCAN_CAP,
+    };
+    esat_with(mig, goal, jobs, &config, bufs, rc)
 }
 
-impl Default for EsatPass {
-    fn default() -> Self {
-        EsatPass {
-            goal: Objective::SizeThenDepth,
-            effort: 2,
-            config: None,
-        }
-    }
+/// Structurally different but equivalent restructurings of `mig` used
+/// as extra e-graph seeds: the algebraic depth optimizer reshapes
+/// aggressively (Ω.D L→R pushes), a size recovery of that reshape lands
+/// in yet another basin, and the NPN-database depth-rewriter
+/// contributes structures the algebraic rules never produce. Their
+/// outputs merge with the input's, so extraction chooses the cheapest
+/// mix of all the structures plus everything saturation derives between
+/// them. The seeds run at fixed efforts (depth 6, size 4, depth-rewrite
+/// 2 on `jobs` workers), whatever the pass's own effort.
+fn variants(mig: &Mig, jobs: usize, bufs: &mut OptBuffers, rc: &mut RewriteCache) -> Vec<Mig> {
+    let deep = optimize_depth(mig, 6, bufs);
+    let recovered = optimize_size(&deep, 4, true, bufs);
+    let rw_deep = optimize_rewrite(mig, Objective::DepthThenSize, 2, jobs, bufs, rc);
+    vec![deep, recovered, rw_deep]
 }
 
-impl EsatPass {
-    /// The effective saturation config under the pipeline `budget`.
-    fn resolve(&self, budget: &Budget) -> EsatConfig {
-        match &self.config {
-            Some(c) => c.clone(),
-            None => EsatConfig {
-                iters: (self.effort * 4).clamp(1, 32),
-                enode_cap: budget.max_nodes.unwrap_or(0),
-                time_ms: budget.pass_ms,
-                ..EsatConfig::default()
-            },
-        }
+/// [`optimize_esat`] under an explicit saturation `config`: saturate
+/// over the input plus its [`variants`], extract under `goal`, keep the
+/// winner.
+fn esat_with(
+    mig: Mig,
+    goal: Objective,
+    jobs: usize,
+    config: &EsatConfig,
+    bufs: &mut OptBuffers,
+    rc: &mut RewriteCache,
+) -> Mig {
+    let seeds = variants(&mig, jobs, bufs, rc);
+    let cand = saturate_and_extract(&mig, &seeds, config, goal, bufs);
+    for v in seeds {
+        bufs.recycle(v);
     }
-
-    /// Structurally different but equivalent restructurings of `mig`
-    /// used as extra e-graph seeds: the algebraic depth optimizer
-    /// reshapes aggressively (Ω.D L→R pushes), a size recovery of that
-    /// reshape lands in yet another basin, and the NPN-database
-    /// depth-rewriter contributes structures the algebraic rules never
-    /// produce. Their outputs merge with the input's, so extraction
-    /// chooses the cheapest mix of all the structures plus everything
-    /// saturation derives between them. The seeds run at fixed efforts
-    /// (depth 6, size 4, depth-rewrite 2 on every available core),
-    /// whatever the pass's own effort.
-    fn variants(&self, bufs: &mut OptBuffers, rc: &mut RewriteCache, mig: &Mig) -> Vec<Mig> {
-        let deep = optimize_depth(mig, 6, bufs);
-        let recovered = optimize_size(&deep, 4, true, bufs);
-        let rw_deep = optimize_rewrite(mig, Objective::DepthThenSize, 2, 0, bufs, rc);
-        vec![deep, recovered, rw_deep]
-    }
-
-    /// Structural search: saturate over the input plus its variant
-    /// seeds, extract under the structural goal, keep the winner.
-    fn run_structural(
-        &self,
-        config: &EsatConfig,
-        bufs: &mut OptBuffers,
-        rc: &mut RewriteCache,
-        mig: Mig,
-    ) -> Mig {
-        let obj = self.goal.structural();
-        let variants = self.variants(bufs, rc, &mig);
-        let mut cands = saturate_and_extract(&mig, &variants, config, &[obj], bufs);
-        for v in variants {
-            bufs.recycle(v);
-        }
-        let cand = cands.pop().expect("one objective in, one candidate out");
-        // `<=` rather than `<`: an equal-cost extraction is still a
-        // *restructuring* (the extractor picks per-class representatives
-        // afresh), and downstream greedy passes regularly escape their
-        // local minimum on the reshaped graph. Strictly worse
-        // extractions are discarded, so the pass stays monotone.
-        if obj.of(&cand) <= obj.of(&mig) {
-            bufs.recycle(mig);
-            cand
-        } else {
-            bufs.recycle(cand);
-            mig
-        }
-    }
-
-    /// Mapped search: extract under both structural proxies, measure
-    /// everything (input included) through the tech model, keep the best
-    /// mapped cost.
-    fn run_mapped(
-        &self,
-        config: &EsatConfig,
-        bufs: &mut OptBuffers,
-        rc: &mut RewriteCache,
-        tech: &dyn TechModel,
-        mig: Mig,
-    ) -> Mig {
-        let variants = self.variants(bufs, rc, &mig);
-        let cands = saturate_and_extract(
-            &mig,
-            &variants,
-            config,
-            &[Objective::SizeThenDepth, Objective::DepthThenSize],
-            bufs,
-        );
-        for v in variants {
-            bufs.recycle(v);
-        }
-        let mut best = mig;
-        let mut best_cost = self.goal.mapped_cost(&tech.measure(&best));
-        for cand in cands {
-            let cost = self.goal.mapped_cost(&tech.measure(&cand));
-            if cost < best_cost {
-                bufs.recycle(std::mem::replace(&mut best, cand));
-                best_cost = cost;
-            } else {
-                bufs.recycle(cand);
-            }
-        }
-        best
-    }
-}
-
-impl Pass for EsatPass {
-    /// The flow-script name of the goal's pass: `depth_esat` for a
-    /// depth-oriented goal (structural or mapped), `esat` otherwise.
-    fn name(&self) -> &'static str {
-        match self.goal.structural() {
-            Objective::SizeThenDepth => PassKind::Esat.name(),
-            _ => PassKind::DepthEsat.name(),
-        }
-    }
-
-    fn objective(&self) -> Objective {
-        self.goal
-    }
-
-    fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
-        let config = self.resolve(&ctx.budget());
-        if self.goal.is_mapped() {
-            if let Some(tech) = ctx.tech.take() {
-                let out =
-                    self.run_mapped(&config, &mut ctx.bufs, &mut ctx.rewrite, tech.as_ref(), mig);
-                ctx.set_tech(tech);
-                return out;
-            }
-        }
-        self.run_structural(&config, &mut ctx.bufs, &mut ctx.rewrite, mig)
+    // `<=` rather than `<`: an equal-cost extraction is still a
+    // *restructuring* (the extractor picks per-class representatives
+    // afresh), and downstream greedy passes regularly escape their
+    // local minimum on the reshaped graph. Strictly worse extractions
+    // are discarded, so the pass stays monotone.
+    if goal.of(&cand) <= goal.of(&mig) {
+        bufs.recycle(mig);
+        cand
+    } else {
+        bufs.recycle(cand);
+        mig
     }
 }
 
@@ -1952,8 +1650,189 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opt::pipeline::Flow;
+    use crate::opt::pipeline::{Flow, Pass, PassKind, PassOutcome};
     use crate::OptContext;
+    use mig_benchgen::{generate, layered_random, RandomLogicParams};
+    use mig_netlist::SplitMix64;
+
+    /// The paper's axiom set as executable, simulation-testable rules. The
+    /// saturation engine implements the structural rules (`Ω.C`, `Ω.M`,
+    /// `Ω.I`) in its normal form and the rest in its matcher; this enum is
+    /// the single list the axiom-soundness tests iterate so every rule is
+    /// covered bidirectionally by batched simulation and by saturation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum EsatRule {
+        /// `Ω.C` commutativity: `M(x,y,z) = M(y,x,z)` (structural: children
+        /// are kept sorted).
+        OmegaC,
+        /// `Ω.M` majority: `M(x,x,z) = x` and `M(x,x',z) = z` (folded on
+        /// insertion).
+        OmegaM,
+        /// `Ω.A` associativity: `M(x,u,M(y,u,z)) = M(z,u,M(y,u,x))`.
+        OmegaA,
+        /// `Ω.D` distributivity: `M(x,y,M(u,v,z)) = M(M(x,y,u),M(x,y,v),z)`.
+        OmegaD,
+        /// `Ω.I` inverter propagation: `M'(x,y,z) = M(x',y',z')`
+        /// (structural: complement normalization).
+        OmegaI,
+        /// `Ψ.R` relevance, one-level instance:
+        /// `M(x,y,M(z,x,w)) = M(x,y,M(z,y',w))`.
+        PsiR,
+        /// `Ψ.C` complementary associativity:
+        /// `M(x,u,M(y,u',z)) = M(x,u,M(y,x,z))`.
+        PsiC,
+        /// M-associativity: `M(x,u,M(y,u,z)) = M(M(x,u,y),u,z)`.
+        MAssoc,
+    }
+
+    impl EsatRule {
+        /// Every rule, in paper order.
+        const ALL: [EsatRule; 8] = [
+            EsatRule::OmegaC,
+            EsatRule::OmegaM,
+            EsatRule::OmegaA,
+            EsatRule::OmegaD,
+            EsatRule::OmegaI,
+            EsatRule::PsiR,
+            EsatRule::PsiC,
+            EsatRule::MAssoc,
+        ];
+
+        /// Short display name with the paper reference.
+        fn name(self) -> &'static str {
+            match self {
+                EsatRule::OmegaC => "Ω.C commutativity",
+                EsatRule::OmegaM => "Ω.M majority",
+                EsatRule::OmegaA => "Ω.A associativity",
+                EsatRule::OmegaD => "Ω.D distributivity",
+                EsatRule::OmegaI => "Ω.I inverter propagation",
+                EsatRule::PsiR => "Ψ.R relevance",
+                EsatRule::PsiC => "Ψ.C complementary associativity",
+                EsatRule::MAssoc => "M-associativity",
+            }
+        }
+
+        /// Builds this rule's left/right-hand sides over the
+        /// environment `[x, u, y, z, w]`, inside a [`Mig`] or an
+        /// [`EGraph`], returning one `(lhs, rhs)` pair per instance
+        /// (some rules have two). Each pair is functionally equal for
+        /// *any* choice of environment — what the soundness tests
+        /// verify by simulation and the saturation tests by merging.
+        fn instances<B: Builder>(self, b: &mut B, env: [B::Lit; 5]) -> Vec<(B::Lit, B::Lit)> {
+            let [x, u, y, z, w] = env;
+            match self {
+                EsatRule::OmegaC => {
+                    let lhs = b.maj(x, u, y);
+                    let rhs = b.maj(u, y, x);
+                    vec![(lhs, rhs)]
+                }
+                EsatRule::OmegaM => {
+                    let a = b.maj(x, x, z);
+                    let c = b.maj(x, B::not(x), z);
+                    vec![(a, x), (c, z)]
+                }
+                EsatRule::OmegaA => {
+                    let li = b.maj(y, u, z);
+                    let lhs = b.maj(x, u, li);
+                    let ri = b.maj(y, u, x);
+                    let rhs = b.maj(z, u, ri);
+                    vec![(lhs, rhs)]
+                }
+                EsatRule::OmegaD => {
+                    let li = b.maj(y, z, w);
+                    let lhs = b.maj(x, u, li);
+                    let ra = b.maj(x, u, y);
+                    let rb = b.maj(x, u, z);
+                    let rhs = b.maj(ra, rb, w);
+                    vec![(lhs, rhs)]
+                }
+                EsatRule::OmegaI => {
+                    let lhs = B::not(b.maj(x, u, y));
+                    let rhs = b.maj(B::not(x), B::not(u), B::not(y));
+                    vec![(lhs, rhs)]
+                }
+                EsatRule::PsiR => {
+                    let li = b.maj(z, x, w);
+                    let lhs = b.maj(x, u, li);
+                    let ri = b.maj(z, B::not(u), w);
+                    let rhs = b.maj(x, u, ri);
+                    vec![(lhs, rhs)]
+                }
+                EsatRule::PsiC => {
+                    let li = b.maj(y, B::not(u), z);
+                    let lhs = b.maj(x, u, li);
+                    let ri = b.maj(y, x, z);
+                    let rhs = b.maj(x, u, ri);
+                    vec![(lhs, rhs)]
+                }
+                EsatRule::MAssoc => {
+                    let li = b.maj(y, u, z);
+                    let lhs = b.maj(x, u, li);
+                    let ri = b.maj(x, u, y);
+                    let rhs = b.maj(ri, u, z);
+                    vec![(lhs, rhs)]
+                }
+            }
+        }
+    }
+
+    /// Where a rule's sides are built: a [`Mig`] or an [`EGraph`].
+    trait Builder {
+        type Lit: Copy;
+        fn maj(&mut self, a: Self::Lit, b: Self::Lit, c: Self::Lit) -> Self::Lit;
+        fn not(lit: Self::Lit) -> Self::Lit;
+    }
+
+    impl Builder for Mig {
+        type Lit = Signal;
+        fn maj(&mut self, a: Signal, b: Signal, c: Signal) -> Signal {
+            Mig::maj(self, a, b, c)
+        }
+        fn not(lit: Signal) -> Signal {
+            !lit
+        }
+    }
+
+    impl Builder for EGraph {
+        type Lit = ELit;
+        fn maj(&mut self, a: ELit, b: ELit, c: ELit) -> ELit {
+            EGraph::maj(self, a, b, c)
+        }
+        fn not(lit: ELit) -> ELit {
+            lit.not()
+        }
+    }
+
+    /// `esat` / `depth_esat` under an explicit saturation config, as a
+    /// pass the pipeline can run: a [`Budget`] alone cannot ask for
+    /// fewer than 4 sweeps, another `scan_cap`, or a deadline without
+    /// the `TimedOut` rollback.
+    struct ConfiguredEsat {
+        goal: Objective,
+        config: EsatConfig,
+    }
+
+    impl Pass for ConfiguredEsat {
+        fn name(&self) -> &'static str {
+            "esat_configured"
+        }
+
+        fn objective(&self) -> Objective {
+            self.goal
+        }
+
+        fn run(&self, ctx: &mut OptContext, mig: Mig) -> Mig {
+            let jobs = ctx.jobs();
+            esat_with(
+                mig,
+                self.goal,
+                jobs,
+                &self.config,
+                &mut ctx.bufs,
+                &mut ctx.rewrite,
+            )
+        }
+    }
 
     /// Rebuilds `g`, and a copy of it with the reference rebuild, and
     /// asserts the two identical: union-find, leaves, every class's
@@ -2037,7 +1916,7 @@ mod tests {
                 env[0] = env[0].complement_if(flip);
                 env[3] = env[3].complement_if(flip);
                 let outs: Vec<ELit> = rule
-                    .elit_instances(&mut g, env)
+                    .instances(&mut g, env)
                     .into_iter()
                     .flat_map(|(l, r)| [l, r])
                     .collect();
@@ -2081,7 +1960,7 @@ mod tests {
             let net = mig_benchgen::generate(bench).expect("known benchmark");
             let mig = Mig::from_network(&net).cleanup();
             let mut ctx = OptContext::with_jobs(1);
-            let variants = EsatPass::default().variants(&mut ctx.bufs, &mut ctx.rewrite, &mig);
+            let variants = variants(&mig, 1, &mut ctx.bufs, &mut ctx.rewrite);
             let mut g = EGraph::with_inputs(mig.num_inputs());
             let outs = seed_one(&mut g, &mig);
             for v in &variants {
@@ -2105,7 +1984,7 @@ mod tests {
         assert_eq!(l.class(), 7);
         assert!(l.is_complemented());
         assert_eq!(l.not().not(), l);
-        assert_eq!(ELit::FALSE.not(), ELit::TRUE);
+        assert_eq!(ELit::FALSE.not(), ELit::new(0, true));
         assert_eq!(l.complement_if(true), l.not());
         assert_eq!(l.complement_if(false), l);
     }
@@ -2117,7 +1996,7 @@ mod tests {
         // Ω.M folds never create nodes.
         assert_eq!(g.maj(a, a, c), a);
         assert_eq!(g.maj(a, a.not(), c), c);
-        assert_eq!(g.maj(ELit::FALSE, ELit::TRUE, b), b);
+        assert_eq!(g.maj(ELit::FALSE, ELit::FALSE.not(), b), b);
         assert_eq!(g.num_enodes(), 0);
         // Ω.C: operand order is irrelevant.
         let m1 = g.maj(a, b, c);
@@ -2154,7 +2033,7 @@ mod tests {
             // in the same class…
             let mut g = EGraph::with_inputs(5);
             let env = fresh_env(&mut g);
-            for (i, (lhs, rhs)) in rule.elit_instances(&mut g, env).into_iter().enumerate() {
+            for (i, (lhs, rhs)) in rule.instances(&mut g, env).into_iter().enumerate() {
                 g.saturate(&EsatConfig::default());
                 assert!(g.same(lhs, rhs), "{} instance {i} (L→R)", rule.name());
             }
@@ -2163,7 +2042,7 @@ mod tests {
             let mut g = EGraph::with_inputs(5);
             let env = fresh_env(&mut g);
             let pairs: Vec<(ELit, ELit)> = rule
-                .elit_instances(&mut g, env)
+                .instances(&mut g, env)
                 .into_iter()
                 .map(|(l, r)| (r, l))
                 .collect();
@@ -2172,6 +2051,169 @@ mod tests {
                 assert!(g.same(lhs, rhs), "{} instance {i} (R→L)", rule.name());
             }
         }
+    }
+
+    /// Engine-level bidirectionality: both sides of every rule are
+    /// inserted as *separate* structures over random, possibly
+    /// complemented environments, then saturated once: whichever side
+    /// the matcher fires on, the merge covers the rewrite in both
+    /// directions.
+    #[test]
+    fn saturation_merges_both_sides_of_every_rule() {
+        let mut rng = SplitMix64::seed_from_u64(0xE5A7_0004);
+        let config = EsatConfig {
+            iters: 6,
+            enode_cap: 4096,
+            time_ms: None,
+            scan_cap: 16,
+        };
+        for rule in EsatRule::ALL {
+            for trial in 0..16 {
+                let mut g = EGraph::with_inputs(5);
+                let base = fresh_env(&mut g);
+                let mut env = [ELit::FALSE; 5];
+                for slot in &mut env {
+                    let l = base[(rng.next_u64() as usize) % base.len()];
+                    *slot = l.complement_if(rng.next_u64() & 1 == 1);
+                }
+                let pairs = rule.instances(&mut g, env);
+                g.saturate(&config);
+                for (lhs, rhs) in pairs {
+                    assert_eq!(
+                        g.find(lhs),
+                        g.find(rhs),
+                        "{} did not saturate to a merge (trial {trial})",
+                        rule.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Builds a random MIG over `inputs` inputs with `gates` random
+    /// majority gates (random fanins, random complement edges). Returns
+    /// the MIG and the signal pool the gates were drawn from.
+    fn random_mig(rng: &mut SplitMix64, inputs: usize, gates: usize) -> (Mig, Vec<Signal>) {
+        let mut mig = Mig::new("corpus");
+        let mut pool: Vec<Signal> = (0..inputs)
+            .map(|i| mig.add_input(format!("i{i}")))
+            .collect();
+        for _ in 0..gates {
+            let pick = |rng: &mut SplitMix64, pool: &[Signal]| {
+                let s = pool[(rng.next_u64() as usize) % pool.len()];
+                s.complement_if(rng.next_u64() & 1 == 1)
+            };
+            let a = pick(rng, &pool);
+            let b = pick(rng, &pool);
+            let c = pick(rng, &pool);
+            let s = mig.maj(a, b, c);
+            pool.push(s);
+        }
+        (mig, pool)
+    }
+
+    /// Checks every rule instance over `env` inside `mig` by batched
+    /// simulation on 512 SplitMix64 patterns (8 words of 64): a rule
+    /// that is sound for *every* environment is sound as a rewrite in
+    /// both directions.
+    fn assert_instances_sound(mut mig: Mig, env: [Signal; 5], rng: &mut SplitMix64, what: &str) {
+        const WORDS: usize = 8;
+        let skip = mig.num_outputs();
+        let mut pairs = 0;
+        for rule in EsatRule::ALL {
+            for (lhs, rhs) in rule.instances(&mut mig, env) {
+                mig.add_output(format!("l{pairs}"), lhs);
+                mig.add_output(format!("r{pairs}"), rhs);
+                pairs += 1;
+            }
+        }
+        let net = mig.to_network();
+        let words: Vec<u64> = (0..net.num_inputs() * WORDS)
+            .map(|_| rng.next_u64())
+            .collect();
+        let outs = mig_sim::simulate_batch(&net, &words, WORDS);
+        // The MIG may carry pre-existing outputs (benchmark circuits);
+        // rule pairs start after them.
+        let mut o = outs.chunks_exact(WORDS).skip(skip);
+        let mut named = 0;
+        for rule in EsatRule::ALL {
+            // `instances` is deterministic: re-count pairs per rule so
+            // a failure names the axiom it violated.
+            let count = match rule {
+                EsatRule::OmegaM => 2,
+                _ => 1,
+            };
+            for _ in 0..count {
+                let l = o.next().expect("lhs words");
+                let r = o.next().expect("rhs words");
+                assert_eq!(
+                    l,
+                    r,
+                    "{} is unsound over {what} environment (512-pattern simulation mismatch)",
+                    rule.name()
+                );
+                named += 1;
+            }
+        }
+        assert_eq!(named, pairs, "every emitted pair was checked");
+    }
+
+    /// Simulation soundness over environments drawn from random MIGs:
+    /// the five metavariables bind to arbitrary internal signals,
+    /// inverted edges included.
+    #[test]
+    fn rules_are_sound_over_random_mig_environments() {
+        let mut rng = SplitMix64::seed_from_u64(0xE5A7_0001);
+        for round in 0..24 {
+            let inputs = 4 + (rng.next_u64() % 5) as usize;
+            let gates = 8 + (rng.next_u64() % 40) as usize;
+            let (mig, pool) = random_mig(&mut rng, inputs, gates);
+            let mut env = [Signal::FALSE; 5];
+            for slot in &mut env {
+                let s = pool[(rng.next_u64() as usize) % pool.len()];
+                *slot = s.complement_if(rng.next_u64() & 1 == 1);
+            }
+            assert_instances_sound(mig, env, &mut rng, &format!("random-MIG #{round}"));
+        }
+    }
+
+    /// Simulation soundness on the complement/constant edge cases:
+    /// every metavariable additionally ranges over constants and
+    /// complemented inputs, including aliased slots (x = u, x = u',
+    /// z = 0, …) that often break complement-normalization bookkeeping.
+    #[test]
+    fn rules_are_sound_on_complement_and_constant_edges() {
+        let mut rng = SplitMix64::seed_from_u64(0xE5A7_0002);
+        for round in 0..48 {
+            let mut mig = Mig::new("edges");
+            let ins: Vec<Signal> = (0..3).map(|i| mig.add_input(format!("i{i}"))).collect();
+            // Candidate bindings: constants, inputs, complemented inputs.
+            let mut cands = vec![Signal::FALSE, !Signal::FALSE];
+            for &i in &ins {
+                cands.push(i);
+                cands.push(!i);
+            }
+            let mut env = [Signal::FALSE; 5];
+            for slot in &mut env {
+                *slot = cands[(rng.next_u64() as usize) % cands.len()];
+            }
+            assert_instances_sound(mig, env, &mut rng, &format!("edge-case #{round}"));
+        }
+    }
+
+    /// A smoke check that `instances` and the arena strash agree on a
+    /// real circuit's input signals.
+    #[test]
+    fn rule_sides_strash_to_equal_functions_on_a_benchmark() {
+        let mig = Mig::from_network(&generate("count").expect("known benchmark"));
+        let mut rng = SplitMix64::seed_from_u64(0xE5A7_0003);
+        let pool: Vec<Signal> = (0..mig.num_inputs()).map(|i| mig.input(i)).collect();
+        let mut env = [Signal::FALSE; 5];
+        for slot in &mut env {
+            let s = pool[(rng.next_u64() as usize) % pool.len()];
+            *slot = s.complement_if(rng.next_u64() & 1 == 1);
+        }
+        assert_instances_sound(mig, env, &mut rng, "benchmark");
     }
 
     #[test]
@@ -2198,7 +2240,7 @@ mod tests {
                         f[env[4].class() as usize - 1].complement_if(env[4].is_complemented()),
                     ]
                 };
-                for (i, (lhs, rhs)) in rule.elit_instances(&mut g, env).into_iter().enumerate() {
+                for (i, (lhs, rhs)) in rule.instances(&mut g, env).into_iter().enumerate() {
                     g.saturate(&EsatConfig::default());
                     assert!(g.same(lhs, rhs), "{} env case instance {i}", rule.name());
                 }
@@ -2216,12 +2258,12 @@ mod tests {
             acc = g.maj(m, acc.not(), x);
         }
         let seeded = g.num_enodes();
-        let stats = g.saturate(&EsatConfig {
+        let stopped = g.saturate(&EsatConfig {
             iters: 8,
             enode_cap: seeded + 5,
             ..EsatConfig::default()
         });
-        assert_eq!(stats.stopped, StopReason::NodeLimit);
+        assert_eq!(stopped, StopReason::NodeLimit);
         // The cap is a growth stop, not a hard invariant mid-action, but
         // it can only be overshot by the final action's few nodes.
         assert!(g.num_enodes() <= seeded + 5 + 4, "{}", g.num_enodes());
@@ -2253,6 +2295,115 @@ mod tests {
         );
     }
 
+    /// The monotone guard proper: the output never exceeds the input
+    /// under the goal, even when saturation stops early on a tiny
+    /// budget (where extraction rarely finds anything and the guard
+    /// must hand the input back untouched).
+    #[test]
+    fn esat_extraction_never_exceeds_the_prepass_cost() {
+        for (bench, cap) in [("alu4", 50_000), ("count", 8_000), ("b9", 500), ("cla", 64)] {
+            let mig = Mig::from_network(&generate(bench).expect("known benchmark"));
+            for goal in [Objective::SizeThenDepth, Objective::DepthThenSize] {
+                let pass = ConfiguredEsat {
+                    goal,
+                    config: EsatConfig {
+                        iters: 4,
+                        enode_cap: cap,
+                        time_ms: None,
+                        scan_cap: 8,
+                    },
+                };
+                let mut ctx = OptContext::with_jobs(1);
+                let out = pass.run(&mut ctx, mig.clone());
+                let (before, after) = (goal.of(&mig), goal.of(&out));
+                assert!(
+                    after <= before,
+                    "{bench}: esat under {goal:?} worsened the objective ({after:?} > {before:?})"
+                );
+                assert!(
+                    out.equiv(&mig, 16),
+                    "{bench}: esat under {goal:?} broke equivalence"
+                );
+            }
+        }
+    }
+
+    /// Saturation never panics and always terminates on hostile inputs:
+    /// random netlists with constant bindings, aliased/complemented
+    /// outputs, and truncated (mostly-unreachable) variants, driven
+    /// under adversarially tiny budgets. Every run must stay equivalent
+    /// and complete — a budget that stops saturation mid-rebuild must
+    /// hand back the input, never a half-merged graph.
+    #[test]
+    fn esat_survives_mutated_and_truncated_netlists_under_tiny_budgets() {
+        // A fault plan another test sets must not trip in here.
+        #[cfg(feature = "faultpoints")]
+        let _plan = crate::faultpoint::test_lock();
+        let mut rng = SplitMix64::seed_from_u64(0xE5A7_F022);
+        for case in 0..18 {
+            let params = RandomLogicParams {
+                inputs: 4 + (rng.next_u64() % 5) as usize,
+                outputs: 1 + (rng.next_u64() % 4) as usize,
+                gates: 10 + (rng.next_u64() % 120) as usize,
+                layers: 2 + (rng.next_u64() % 4) as usize,
+                seed: rng.next_u64(),
+            };
+            let name = format!("esat_fuzz{case}");
+            let mut mig = Mig::from_network(&layered_random(&name, &params)).cleanup();
+
+            // Mutate: rebind outputs to hostile signals — constants,
+            // complements, aliases of output 0 — and truncate by
+            // pointing the last output at an input, stranding most of
+            // the cone.
+            let n_out = mig.outputs().len();
+            for o in 0..n_out {
+                match rng.next_u64() % 5 {
+                    0 => {
+                        let s = mig.outputs()[o].1;
+                        mig.set_output(o, !s);
+                    }
+                    1 => mig.set_output(o, Signal::FALSE),
+                    2 => mig.set_output(o, mig.outputs()[0].1),
+                    3 if o + 1 == n_out => {
+                        let s = mig.input((rng.next_u64() % params.inputs as u64) as usize);
+                        mig.set_output(o, s);
+                    }
+                    _ => {}
+                }
+            }
+
+            let config = EsatConfig {
+                iters: 1 + (rng.next_u64() % 6) as usize,
+                enode_cap: 1 + (rng.next_u64() % 600) as usize,
+                time_ms: match rng.next_u64() % 3 {
+                    0 => Some(0),
+                    1 => Some(1 + rng.next_u64() % 5),
+                    _ => None,
+                },
+                scan_cap: (rng.next_u64() % 20) as usize,
+            };
+            for goal in [Objective::SizeThenDepth, Objective::DepthThenSize] {
+                let pass = ConfiguredEsat {
+                    goal,
+                    config: config.clone(),
+                };
+                let mut ctx = OptContext::with_jobs(1);
+                let out = ctx.run_pass(&pass, mig.clone());
+                assert!(
+                    out.equiv(&mig, 8),
+                    "case {case} under {goal:?}/{config:?} lost equivalence"
+                );
+                let ledger = ctx.take_ledger();
+                assert_eq!(
+                    ledger[0].outcome,
+                    PassOutcome::Completed,
+                    "case {case} under {goal:?}/{config:?}: {:?}",
+                    ledger[0].note
+                );
+            }
+        }
+    }
+
     #[test]
     fn esat_finds_the_distributivity_factoring() {
         // M(M(x,y,u), M(x,y,v), z) = M(x,y,M(u,v,z)): 3 nodes → 2.
@@ -2266,9 +2417,9 @@ mod tests {
         let b = mig.maj(x, y, v);
         let t = mig.maj(a, b, z);
         mig.add_output("f", t);
-        let pass = EsatPass::default();
+        let pass = PassKind::Esat.build(2);
         let mut ctx = OptContext::with_jobs(1);
-        let out = ctx.run_pass(&pass, mig.clone());
+        let out = ctx.run_pass(&*pass, mig.clone());
         assert!(out.equiv(&mig, 4));
         assert_eq!(out.size(), 2, "factored form is two nodes");
     }
@@ -2284,13 +2435,9 @@ mod tests {
             acc = mig.and(acc, s);
         }
         mig.add_output("y", acc);
-        let pass = EsatPass {
-            goal: Objective::DepthThenSize,
-            effort: 4,
-            config: None,
-        };
+        let pass = PassKind::DepthEsat.build(4);
         let mut ctx = OptContext::with_jobs(1);
-        let out = ctx.run_pass(&pass, mig.clone());
+        let out = ctx.run_pass(&*pass, mig.clone());
         assert!(out.equiv(&mig, 4));
         assert!(
             out.depth() < mig.depth(),

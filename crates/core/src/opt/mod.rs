@@ -9,21 +9,21 @@
 //!   probability-aware `Ψ.R` exchanges plus size recovery.
 //! * [`rewrite`] — cut-based Boolean rewriting against the NPN database,
 //!   in a size-oriented and a depth-oriented acceptance mode.
-//! * [`esat`] — equality-saturation rewriting: the axioms as
+//! * `esat` — equality-saturation rewriting: the axioms as
 //!   bidirectional rules over an e-graph, with cost-based extraction.
 //! * [`pipeline`] — the composable pass manager: the [`Pass`] trait, the
 //!   shared [`OptContext`], and the flow-script language that sequences
 //!   the passes above. Each optimizer is reached as a [`PassKind`] built
-//!   at one effort; the first three modules are crate-private.
+//!   at one effort; every module above but [`rewrite`] (which also
+//!   holds the cut enumerator the mapper shares) is crate-private.
 
 mod activity;
 mod depth;
-pub mod esat;
+mod esat;
 pub mod pipeline;
 pub mod rewrite;
 mod size;
 
-pub use esat::{EGraph, ELit, EsatConfig, EsatPass, EsatRule, EsatStats, StopReason};
 pub use pipeline::{
     Budget, Flow, FlowStep, LevelStats, MappedMetrics, OptContext, Pass, PassKind, PassMetrics,
     PassOutcome, PassReport, Repeat, TechModel,

@@ -68,7 +68,7 @@ use std::time::{Duration, Instant};
 
 use super::activity::optimize_activity;
 use super::depth::optimize_depth;
-use super::esat::EsatPass;
+use super::esat::optimize_esat;
 use super::rewrite::{optimize_rewrite, RewriteCache};
 use super::size::optimize_size;
 use super::{Objective, OptBuffers};
@@ -214,7 +214,7 @@ pub struct PassMetrics {
     pub activity: f64,
     /// Technology-mapped cost. The ledger measures it only around a
     /// pass whose objective is mapped ([`Objective::is_mapped`]: the
-    /// `map_area`/`map_delay` steps, a mapped-goal `esat`), and only
+    /// `map_area`/`map_delay` steps), and only
     /// when the [`OptContext`] has a [`TechModel`] installed; every
     /// other entry carries `None`, so passes that never read it pay
     /// nothing for the mapping layer.
@@ -621,9 +621,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// A pass is a pure function from MIG to MIG (functionally equivalent
 /// output, deterministic for a given input and configuration); it takes
 /// the input by value so its arena can be recycled into the context's
-/// pool. Every built-in pass ([`PassKind::build`]) and [`EsatPass`]
-/// implement this trait; external code can add custom passes and drive
-/// them through [`OptContext::run_pass`].
+/// pool. Every built-in pass ([`PassKind::build`]) implements this
+/// trait; external code can add custom passes and drive them through
+/// [`OptContext::run_pass`].
 pub trait Pass {
     /// Short lower-case name used in flow scripts, reports and the
     /// bench schema.
@@ -702,12 +702,15 @@ impl Pass for BuiltIn {
                 &mut ctx.rewrite,
             ),
             PassKind::Esat | PassKind::DepthEsat => {
-                let esat = EsatPass {
-                    goal: self.objective(),
+                return optimize_esat(
+                    mig,
+                    self.objective(),
                     effort,
-                    config: None,
-                };
-                return esat.run(ctx, mig);
+                    ctx.jobs,
+                    ctx.budget,
+                    &mut ctx.bufs,
+                    &mut ctx.rewrite,
+                )
             }
             PassKind::MapArea | PassKind::MapDelay => {
                 return map_recovery(ctx, self.objective(), effort, mig)
@@ -779,7 +782,7 @@ pub enum PassKind {
     Rewrite,
     /// Depth-oriented Boolean rewriting — `depth_rewrite`.
     DepthRewrite,
-    /// Equality-saturation rewriting — `esat` (see [`EsatPass`]).
+    /// Equality-saturation rewriting — `esat`.
     Esat,
     /// Depth-oriented equality-saturation rewriting — `depth_esat`.
     DepthEsat,

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use mig_core::Flow;
 use mig_mighty::{
     bench, emit_verilog, load_input, render_map_report, render_report, run_flow_with, run_map_with,
-    target_flow, RunOptions,
+    target_flow, RunOptions, MAX_EFFORT, MAX_ROUNDS,
 };
 
 /// Exit code: success (equivalence verified, no degraded stages).
@@ -210,6 +210,14 @@ where
     value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
+/// Parses the value of a count flag that may not exceed `max`.
+fn at_most(flag: &str, value: String, max: usize) -> Result<usize, String> {
+    match number(flag, value)? {
+        n if n > max => Err(format!("{flag} must be at most {max}")),
+        n => Ok(n),
+    }
+}
+
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = argv.iter();
@@ -226,11 +234,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.target = Some(target);
             }
             "--flow" | "-f" => args.flow = Some(value(a)?),
-            "--effort" | "-e" => args.effort = Some(number("--effort", value(a)?)?),
+            "--effort" | "-e" => args.effort = Some(at_most("--effort", value(a)?, MAX_EFFORT)?),
             "--quick" | "-q" => args.quick = true,
             "--rewrite" | "-w" => args.rewrite = true,
             "--jobs" | "-j" => args.jobs = Some(number("--jobs", value(a)?)?),
-            "--rounds" | "-r" => args.rounds = Some(number::<usize>("--rounds", value(a)?)?.max(1)),
+            "--rounds" | "-r" => {
+                args.rounds = Some(at_most("--rounds", value(a)?, MAX_ROUNDS)?.max(1))
+            }
             "--output" | "-o" => args.output = Some(value(a)?),
             "--suite" | "-s" => args.suite = Some(value(a)?),
             "--list" => args.list = true,

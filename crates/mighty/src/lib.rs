@@ -65,6 +65,19 @@ pub const TARGET_FLOWS: [(&str, bool, &str); 8] = [
     ("all", true, "size; rewrite; depth; activity"),
 ];
 
+/// Largest `effort` a job may ask for (`--effort`, a serve job's
+/// `effort`): the optimizers' round budgets are multiples of it, so an
+/// unbounded value could overflow them.
+pub const MAX_EFFORT: usize = 64;
+
+/// Largest `rounds` a job may ask for (`--rounds`, a serve job's
+/// `rounds`): random equivalence checking stores `outputs × rounds`
+/// signature words, so the bound caps its cost per output at the
+/// exhaustive check's (1024 words for 16 inputs) and keeps the product
+/// from overflowing. It does not bound the total, which grows with the
+/// output count of the circuit.
+pub const MAX_ROUNDS: usize = 1024;
+
 /// Resolves a `--target` name and the `--rewrite` switch to their flow
 /// script through [`TARGET_FLOWS`].
 pub fn target_flow(target: &str, rewrite: bool) -> Result<&'static str, String> {

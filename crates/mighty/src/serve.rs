@@ -74,7 +74,7 @@ use mig_core::{Flow, OptContext, PassMetrics};
 use mig_netlist::{parse_verilog, write_verilog, Network};
 
 use crate::json::{escape_str, Json};
-use crate::{run_flow_session, OptOutcome, RunOptions};
+use crate::{run_flow_session, OptOutcome, RunOptions, MAX_EFFORT, MAX_ROUNDS};
 
 /// Exit codes of the per-job contract (the CLI's codes, reused on the
 /// wire).
@@ -577,17 +577,6 @@ fn error_line(id: &str, code: i64, message: &str) -> String {
         escape_str(message)
     )
 }
-
-/// Largest job `effort`: the optimizers' round budgets are multiples
-/// of it, so an unbounded value could overflow them.
-const MAX_EFFORT: usize = 64;
-
-/// Largest job `rounds`: random equivalence checking stores `outputs ×
-/// rounds` signature words, so the bound caps its cost per output at
-/// the exhaustive check's (1024 words for 16 inputs) and keeps the
-/// product from overflowing. It does not bound the total, which grows
-/// with the output count a request declares.
-const MAX_ROUNDS: usize = 1024;
 
 /// Validates a job request into a ready-to-run [`Job`].
 fn parse_job(value: &Json, id: &str, out: mpsc::Sender<String>) -> Result<Job, (i64, String)> {

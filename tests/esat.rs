@@ -1,11 +1,12 @@
-//! Integration: the equality-saturation pass over the generated MCNC
-//! suite. Every benchmark must stay functionally equivalent through an
-//! esat-containing flow, and the pass's extraction guard must be
-//! monotone — the output never exceeds the input under the pass
-//! objective, whatever the saturation budget managed to explore.
+//! Integration: the equality-saturation flow steps over the generated
+//! MCNC suite. Every benchmark must stay functionally equivalent through
+//! an esat-containing flow that never grows it, and the pass must beat
+//! the rewrite fixpoint where the docs say it does. (The extraction
+//! guard under hand-set saturation budgets is unit-tested in
+//! `mig_core`'s `opt::esat`.)
 
 use mig_suite::benchgen::generate;
-use mig_suite::mig::{Budget, EsatConfig, EsatPass, Flow, Mig, Objective, OptContext, Pass};
+use mig_suite::mig::{Budget, Flow, Mig, OptContext};
 
 /// Number of 64-pattern blocks for the random half of equivalence checks.
 const ROUNDS: usize = 16;
@@ -48,41 +49,6 @@ fn esat_flow_is_equivalent_and_monotone_on_the_suite() {
             out.size(),
             mig.size()
         );
-    }
-}
-
-/// The monotone guard proper: the pass output never exceeds the pass
-/// input under the chosen objective, even when saturation stops early
-/// on a tiny budget (where extraction rarely finds anything and the
-/// guard must hand the input back untouched).
-#[test]
-fn esat_extraction_never_exceeds_the_prepass_cost() {
-    for (bench, cap) in [("alu4", 50_000), ("count", 8_000), ("b9", 500), ("cla", 64)] {
-        let net = generate(bench).expect("known benchmark");
-        let mig = Mig::from_network(&net);
-        for goal in [Objective::SizeThenDepth, Objective::DepthThenSize] {
-            let pass = EsatPass {
-                goal,
-                effort: 2,
-                config: Some(EsatConfig {
-                    iters: 4,
-                    enode_cap: cap,
-                    time_ms: None,
-                    scan_cap: 8,
-                }),
-            };
-            let mut ctx = OptContext::with_jobs(1);
-            let out = pass.run(&mut ctx, mig.clone());
-            let (before, after) = (goal.of(&mig), goal.of(&out));
-            assert!(
-                after <= before,
-                "{bench}: esat under {goal:?} worsened the objective ({after:?} > {before:?})"
-            );
-            assert!(
-                out.equiv(&mig, ROUNDS),
-                "{bench}: esat under {goal:?} broke equivalence"
-            );
-        }
     }
 }
 

@@ -2,10 +2,12 @@
 //! rewriting engine: the `rewrite` pass must produce **bit-identical**
 //! MIGs — same arena, node for node — whatever the `jobs` setting,
 //! because candidate preparation is read-only over an immutable
-//! snapshot and commits are serialized deterministically.
+//! snapshot and commits are serialized deterministically. The same
+//! holds for `esat` and `depth_esat`, whose depth-rewrite seed runs on
+//! the context's workers.
 
-use mig_suite::benchgen::{layered_random, RandomLogicParams};
-use mig_suite::mig::{Mig, OptContext, PassKind};
+use mig_suite::benchgen::{generate, layered_random, RandomLogicParams};
+use mig_suite::mig::{Budget, Mig, OptContext, PassKind};
 use mig_suite::netlist::SplitMix64;
 
 /// Asserts two MIGs are structurally identical: node counts, per-node
@@ -30,12 +32,20 @@ fn assert_bit_identical(a: &Mig, b: &Mig, what: &str) {
     assert_eq!(a.depth(), b.depth(), "{what}: depths differ");
 }
 
-fn rewrite_with_jobs(mig: &Mig, jobs: usize) -> Mig {
+fn run_with_jobs(kind: PassKind, mig: &Mig, jobs: usize) -> Mig {
+    let mut ctx = OptContext::with_jobs(jobs);
+    // Caps the e-graph so saturation stays fast in debug builds.
+    ctx.set_budget(Budget {
+        max_nodes: Some(4_000),
+        ..Budget::default()
+    });
     // `Pass::run` has no rollback wrapper: a panic fails the test
     // instead of handing back the unchanged input at every `jobs`.
-    PassKind::Rewrite
-        .build(2)
-        .run(&mut OptContext::with_jobs(jobs), mig.clone())
+    kind.build(2).run(&mut ctx, mig.clone())
+}
+
+fn rewrite_with_jobs(mig: &Mig, jobs: usize) -> Mig {
+    run_with_jobs(PassKind::Rewrite, mig, jobs)
 }
 
 #[test]
@@ -72,11 +82,24 @@ fn jobs_1_and_4_are_bit_identical_on_mcnc_circuits() {
     // Real benchmark structure (XOR trees, carry chains, PLA control)
     // exercises the wavefront chunking harder than random logic.
     for bench in ["my_adder", "cla", "alu4", "C1908"] {
-        let net = mig_suite::benchgen::generate(bench).expect("known benchmark");
+        let net = generate(bench).expect("known benchmark");
         let mig = Mig::from_network(&net);
         let base = rewrite_with_jobs(&mig, 1);
         let par = rewrite_with_jobs(&mig, 4);
         assert_bit_identical(&base, &par, bench);
         assert!(base.equiv(&mig, 8), "{bench}: equivalence");
+    }
+}
+
+#[test]
+fn esat_steps_are_bit_identical_across_jobs() {
+    for bench in ["count", "my_adder"] {
+        let mig = Mig::from_network(&generate(bench).expect("known benchmark"));
+        for kind in [PassKind::Esat, PassKind::DepthEsat] {
+            let base = run_with_jobs(kind, &mig, 1);
+            let par = run_with_jobs(kind, &mig, 4);
+            assert_bit_identical(&base, &par, &format!("{bench} {kind}"));
+            assert!(base.equiv(&mig, 8), "{bench} {kind}: equivalence");
+        }
     }
 }

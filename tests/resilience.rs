@@ -246,83 +246,6 @@ fn clean_pass_after_rollback_matches_from_scratch() {
     }
 }
 
-/// Saturation never panics and always terminates on hostile inputs:
-/// random netlists with constant bindings, aliased/complemented
-/// outputs, and truncated (mostly-unreachable) variants, driven under
-/// adversarially tiny budgets. The guard must additionally keep every
-/// run equivalent — a budget that stops saturation mid-rebuild must
-/// hand back the input, never a half-merged graph.
-#[test]
-fn esat_survives_mutated_and_truncated_netlists_under_tiny_budgets() {
-    let _g = lock();
-    let mut rng = SplitMix64::seed_from_u64(0xE5A7_F022);
-    for case in 0..18 {
-        let params = RandomLogicParams {
-            inputs: 4 + (rng.next_u64() % 5) as usize,
-            outputs: 1 + (rng.next_u64() % 4) as usize,
-            gates: 10 + (rng.next_u64() % 120) as usize,
-            layers: 2 + (rng.next_u64() % 4) as usize,
-            seed: rng.next_u64(),
-        };
-        let name = format!("esat_fuzz{case}");
-        let mut mig = Mig::from_network(&layered_random(&name, &params)).cleanup();
-
-        // Mutate: rebind outputs to hostile signals — constants,
-        // complements, aliases of output 0 — and truncate by pointing
-        // the last output at an input, stranding most of the cone.
-        let n_out = mig.outputs().len();
-        for o in 0..n_out {
-            match rng.next_u64() % 5 {
-                0 => {
-                    let s = mig.outputs()[o].1;
-                    mig.set_output(o, !s);
-                }
-                1 => mig.set_output(o, mig_suite::mig::Signal::FALSE),
-                2 => mig.set_output(o, mig.outputs()[0].1),
-                3 if o + 1 == n_out => {
-                    let s = mig.input((rng.next_u64() % params.inputs as u64) as usize);
-                    mig.set_output(o, s);
-                }
-                _ => {}
-            }
-        }
-
-        let config = mig_suite::mig::EsatConfig {
-            iters: 1 + (rng.next_u64() % 6) as usize,
-            enode_cap: 1 + (rng.next_u64() % 600) as usize,
-            time_ms: match rng.next_u64() % 3 {
-                0 => Some(0),
-                1 => Some(1 + rng.next_u64() % 5),
-                _ => None,
-            },
-            scan_cap: (rng.next_u64() % 20) as usize,
-        };
-        for goal in [
-            mig_suite::mig::Objective::SizeThenDepth,
-            mig_suite::mig::Objective::DepthThenSize,
-        ] {
-            let pass = mig_suite::mig::EsatPass {
-                goal,
-                effort: 1,
-                config: Some(config.clone()),
-            };
-            let mut ctx = OptContext::with_jobs(1);
-            let out = ctx.run_pass(&pass, mig.clone());
-            assert!(
-                out.equiv(&mig, ROUNDS),
-                "case {case} under {goal:?}/{config:?} lost equivalence"
-            );
-            let ledger = ctx.take_ledger();
-            assert_eq!(
-                ledger[0].outcome,
-                PassOutcome::Completed,
-                "case {case} under {goal:?}/{config:?}: {:?}",
-                ledger[0].note
-            );
-        }
-    }
-}
-
 #[cfg(feature = "faultpoints")]
 mod fault_injection {
     use super::*;
