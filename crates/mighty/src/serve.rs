@@ -59,10 +59,20 @@
 //! 3 input error, 4 equivalence failure, 5 degraded (budget/rollback
 //! semantics per job — a panicking or over-budget job degrades without
 //! taking the server down). See `DESIGN.md` §15 for the full spec.
+//!
+//! # Transport
+//!
+//! No fixed wait sits between a client and the server. The accept loop
+//! blocks in `accept`; a shutdown wakes it by connecting once to the
+//! listener, and a SIGTERM/SIGINT is turned into that shutdown by
+//! [`Server::wait`], which polls for it every 10 ms. Every accepted
+//! stream has `TCP_NODELAY` set, and each response line goes out in
+//! one write with its terminator, so no response waits for the
+//! client's delayed ACK. Admitted jobs run in arrival order.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -226,9 +236,14 @@ impl JobCache {
 /// State shared between the accept loop, connection threads, and
 /// workers.
 struct Shared {
-    queue: Mutex<Vec<Job>>,
+    /// Admitted jobs, oldest first.
+    queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
+    /// Where [`Shared::begin_shutdown`] connects to wake the accept
+    /// loop: the bound address, with an unspecified IP replaced by
+    /// loopback.
+    wake_addr: SocketAddr,
     in_flight: AtomicUsize,
     /// Response lines handed to a connection writer thread but not yet
     /// flushed to (or abandoned with) its socket. The graceful drain
@@ -240,9 +255,18 @@ struct Shared {
 }
 
 impl Shared {
+    /// Flips the shutdown flag. The first call also wakes idle workers
+    /// and connects once to the listener, so the accept loop's blocked
+    /// `accept` returns and sees the flag. The connect times out
+    /// rather than block shutdown; one that cannot complete finds the
+    /// listener's backlog full, and those queued connections wake the
+    /// loop instead.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
         self.queue_cv.notify_all();
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
     }
 
     fn idle(&self) -> bool {
@@ -288,14 +312,12 @@ impl Server {
         let listener = TcpListener::bind(&config.listen)
             .map_err(|e| format!("cannot bind `{}`: {e}", config.listen))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
 
         let shared = Arc::new(Shared {
-            queue: Mutex::new(Vec::new()),
+            queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            wake_addr: wake_addr(addr),
             in_flight: AtomicUsize::new(0),
             pending_writes: AtomicUsize::new(0),
             stats: Mutex::new(ServerStats::default()),
@@ -348,8 +370,17 @@ impl Server {
     /// `{"op": "shutdown"}` request, or an installed signal handler)
     /// and all jobs drained — or the drain deadline expired. Returns
     /// `true` when the drain completed in time.
+    ///
+    /// While the accept loop runs, this polls [`signal_pending`] every
+    /// 10 ms and turns a signal into [`Server::shutdown`].
     pub fn wait(mut self) -> bool {
         if let Some(t) = self.accept_thread.take() {
+            while !t.is_finished() {
+                if signal_pending() {
+                    self.shared.begin_shutdown();
+                }
+                thread::sleep(Duration::from_millis(10));
+            }
             let _ = t.join();
         }
         // The accept loop only exits on shutdown, so from here the
@@ -372,19 +403,28 @@ impl Server {
     }
 }
 
-/// The accept loop: non-blocking accept so shutdown requests (wire op
-/// or signal) are noticed within one poll interval.
+/// The address that reaches a listener bound to `addr`: an unspecified
+/// IP (`0.0.0.0`, `::`) accepts on every interface, loopback included.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// The accept loop: a blocking accept, woken on shutdown by
+/// [`Shared::begin_shutdown`]'s connect.
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     loop {
-        if signal_pending() {
-            shared.begin_shutdown();
-        }
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             // Refuse new connections from here on: the listener is
             // dropped, so later connects get ECONNREFUSED.
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 shared.stats.lock().expect("stats lock").connections += 1;
                 let shared = Arc::clone(shared);
@@ -392,9 +432,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                     .name("mighty-conn".to_string())
                     .spawn(move || handle_connection(stream, &shared));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
+            // E.g. out of file descriptors: back off instead of spinning.
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -404,9 +442,14 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 /// writer thread that serializes responses from all of the
 /// connection's jobs. The reader and every queued job hold clones of
 /// the response sender; the writer exits when the last clone drops.
+///
+/// Responses go out as soon as they are written: `TCP_NODELAY` is set,
+/// so Nagle's algorithm never holds a response's last segment until
+/// the client's delayed ACK.
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let (tx, rx) = mpsc::channel::<String>();
-    let write_stream = match stream.try_clone() {
+    let _ = stream.set_nodelay(true);
+    let mut write_stream = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
@@ -414,16 +457,13 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let writer = thread::Builder::new()
         .name("mighty-conn-write".to_string())
         .spawn(move || {
-            let mut w = BufWriter::new(write_stream);
             // Once a write fails the client is gone; keep consuming
             // (without writing) so every queued line is accounted for —
             // the graceful drain waits on `pending_writes`.
             let mut broken = false;
             while let Ok(line) = rx.recv() {
                 if !broken {
-                    broken = w.write_all(line.as_bytes()).is_err()
-                        || w.write_all(b"\n").is_err()
-                        || w.flush().is_err();
+                    broken = write_line(&mut write_stream, line).is_err();
                 }
                 writer_shared.pending_writes.fetch_sub(1, Ordering::SeqCst);
             }
@@ -477,6 +517,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     if let Ok(w) = writer {
         let _ = w.join();
     }
+}
+
+/// Sends one response line and its `\n` terminator in a single
+/// `write_all`, so the terminator never travels as a segment of its own.
+fn write_line(w: &mut impl Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
 }
 
 enum RequestFate {
@@ -541,7 +589,7 @@ fn handle_request(line: &str, tx: &mpsc::Sender<String>, shared: &Arc<Shared>) -
                             error_line(&id, exit_code::USAGE, "server is shutting down"),
                         );
                     } else {
-                        queue.insert(0, job); // workers pop from the back (FIFO)
+                        queue.push_back(job);
                         shared.queue_cv.notify_one();
                     }
                 }
@@ -648,7 +696,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let job = {
             let mut queue = shared.queue.lock().expect("queue lock");
             loop {
-                if let Some(job) = queue.pop() {
+                if let Some(job) = queue.pop_front() {
                     break job;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -883,8 +931,8 @@ pub fn signal_pending() -> bool {
     SIGNALLED.load(Ordering::SeqCst)
 }
 
-/// Installs SIGTERM and SIGINT handlers that flip an atomic flag the
-/// accept loop polls, so either signal triggers the same graceful
+/// Installs SIGTERM and SIGINT handlers that flip an atomic flag
+/// [`Server::wait`] polls, so either signal triggers the same graceful
 /// drain as a `{"op": "shutdown"}` request. Raw `signal(2)` FFI —
 /// the workspace links no `libc` crate, and `std` already links the
 /// platform C library.
@@ -943,6 +991,71 @@ mod tests {
         let mut cache = JobCache::new(0);
         cache.insert((1, "size".to_string(), 1), entry());
         assert!(cache.entries.is_empty());
+    }
+
+    /// A `Write` that logs every call it receives.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_line_is_one_write() {
+        for len in [20 << 10, 10] {
+            let line = "x".repeat(len);
+            let mut w = Recorder::default();
+            write_line(&mut w, line.clone()).unwrap();
+            assert_eq!(w.writes.len(), 1, "{len}-byte line: one write call");
+            assert_eq!(w.writes[0], format!("{line}\n").into_bytes());
+            assert_eq!(w.flushes, 1);
+        }
+    }
+
+    #[test]
+    fn wake_addr_replaces_only_unspecified_ips() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7171"), "127.0.0.1:7171");
+        assert_eq!(wake("[::]:7171"), "[::1]:7171");
+        assert_eq!(wake("192.0.2.1:80"), "192.0.2.1:80");
+    }
+
+    #[test]
+    fn unspecified_bind_accepts_at_once_and_shuts_down() {
+        let server = Server::start(&ServeConfig {
+            listen: "0.0.0.0:0".to_string(),
+            ..ServeConfig::default()
+        })
+        .expect("start");
+        let addr = wake_addr(server.addr());
+        let stream = TcpStream::connect(addr).expect("connect right after start");
+        (&stream).write_all(b"{\"op\": \"ping\"}\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(&stream).read_line(&mut line).unwrap();
+        assert_eq!(line, "{\"type\": \"pong\"}\n");
+
+        server.shutdown();
+        // `wait` runs on its own thread so a hang fails the test.
+        let (done_tx, done_rx) = mpsc::channel();
+        let waiter = thread::spawn(move || done_tx.send(server.wait()));
+        let drained = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("wait() hung after shutdown on 0.0.0.0");
+        waiter.join().unwrap().unwrap();
+        assert!(drained, "drain");
+        let refused = TcpStream::connect(addr).map(|_| ()).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
     }
 
     #[test]
