@@ -284,13 +284,14 @@ pub struct LevelStats {
 ///
 /// Owns everything that used to be per-pass private: the
 /// [`OptBuffers`] arena pool every rebuild-style pass draws from, the
-/// rewrite engine's persistent cut/candidate cache (which survives
-/// across pass boundaries — keyed to the graph's mutation stamp, so a
-/// stale cache can never be misread), the evaluate-phase worker-count
-/// setting, and the per-pass wall-time ledger. One context serves any
-/// number of passes, flows, and circuits; reuse never changes results
-/// (caches are keyed or reset, arenas are wiped on reuse), it only
-/// removes allocations.
+/// rewrite engine's cut/candidate cache, the evaluate-phase
+/// worker-count setting, and the per-pass wall-time ledger. One context
+/// serves any number of passes, flows, and circuits. What carries over
+/// between passes is the buffers, not their contents: the rewrite
+/// engine starts every run from `Mig::cleanup()`, whose new mutation
+/// stamp resets the rewrite cache, so each pass enumerates cold. Reuse
+/// therefore never changes results (caches are keyed or reset, arenas
+/// are wiped on reuse), it only removes allocations.
 #[derive(Debug, Default)]
 pub struct OptContext {
     pub(crate) bufs: OptBuffers,

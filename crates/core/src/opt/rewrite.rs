@@ -252,13 +252,21 @@ fn memo_canonize(memo: &mut HashMap<u16, (u16, Npn4Transform)>, tt: u16) -> (u16
     *memo.entry(tt).or_insert_with(|| npn4_canonize(tt))
 }
 
-/// Persistent state of the rewriting engine: per-node priority-cut sets
+/// Reusable state of the rewriting engine: per-node priority-cut sets
 /// with dirty bits, the worker scratch pool, and the per-sweep side
-/// buffers. One instance serves any number of passes; between the
-/// rewrite ⇄ eliminate ⇄ cleanup rebuilds of one pass the cut sets are
-/// carried across via [`RewriteCache::translate`] instead of being
-/// recomputed, keyed to the graph's mutation stamp so a stale cache can
-/// never be misread.
+/// buffers. Between the rewrite ⇄ eliminate ⇄ cleanup rebuilds of one
+/// pass the cut sets are carried across via
+/// [`RewriteCache::translate`] instead of being recomputed, keyed to the
+/// graph's mutation stamp so a stale cache can never be misread.
+///
+/// One instance serves any number of passes, but only its buffers carry
+/// over between them, not its contents. Every run of
+/// [`optimize_rewrite`] (the rewrite passes, and esat's seeds) starts
+/// from `Mig::cleanup()`, which mints a new stamp, so the run's first
+/// [`bind`](RewriteCache::bind) resets the cache and enumerates every
+/// gate cold. A pass is therefore a function of its input graph alone,
+/// which the flow's skip of repeats after an unchanged run and the
+/// server's per-worker contexts both rely on.
 #[derive(Debug, Default)]
 pub(crate) struct RewriteCache {
     stride: usize,
@@ -944,9 +952,14 @@ fn enumerate_node(ctx: &EnumCtx, idx: usize, k: usize, max_cuts: usize, cand: &m
         let cut_a = ctx.cuts[ia * stride + ca];
         for cb in 0..ctx.ncuts[ib] as usize {
             let cut_b = ctx.cuts[ib * stride + cb];
+            // A pair over `k` leaves stays over `k` with any third cut:
+            // merge it once, before the `cut_c` loop.
+            let Some(cut_ab) = merge2(&cut_a, &cut_b, k) else {
+                continue;
+            };
             for cc in 0..ctx.ncuts[ic] as usize {
                 let cut_c = ctx.cuts[ic * stride + cc];
-                let Some(mut cut) = merge3(&cut_a, &cut_b, &cut_c, k) else {
+                let Some(mut cut) = merge2(&cut_ab, &cut_c, k) else {
                     continue;
                 };
                 // Filter on the leaf set alone before paying for the
@@ -1361,28 +1374,49 @@ fn mffc_reref(view: &MigView, node: NodeId, leaves: &[u32], refs: &mut [u32]) {
     }
 }
 
-/// Merges three sorted leaf sets into one, or `None` if the union
-/// exceeds `k` leaves. The merged truth table is filled in by the
-/// caller.
-fn merge3(a: &Cut, b: &Cut, c: &Cut, k: usize) -> Option<Cut> {
-    let mut out = Cut::default();
-    for src in [a, b, c] {
-        for &l in src.leaves() {
-            let len = out.len as usize;
-            match out.leaves[..len].binary_search(&l) {
-                Ok(_) => {}
-                Err(pos) => {
-                    if len == k {
-                        return None;
-                    }
-                    out.leaves.copy_within(pos..len, pos + 1);
-                    out.leaves[pos] = l;
-                    out.len += 1;
-                }
-            }
-        }
+/// Merges two sorted leaf sets into one, or `None` if the union exceeds
+/// `k` leaves. Distinct signature bits are distinct leaves, so a
+/// signature popcount over `k` rejects on one word op before the merge.
+/// The merged truth table is filled in by the caller.
+fn merge2(a: &Cut, b: &Cut, k: usize) -> Option<Cut> {
+    let sign = a.sign | b.sign;
+    if sign.count_ones() as usize > k {
+        return None;
     }
-    out.sign = out.leaves().iter().fold(0, |s, &l| s | leaf_sign(l));
+    let (la, lb) = (a.leaves(), b.leaves());
+    let mut out = Cut {
+        sign,
+        ..Cut::default()
+    };
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    loop {
+        let l = match (la.get(i), lb.get(j)) {
+            (None, None) => break,
+            (Some(&x), Some(&y)) if x == y => {
+                i += 1;
+                j += 1;
+                x
+            }
+            (Some(&x), Some(&y)) if x < y => {
+                i += 1;
+                x
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                y
+            }
+        };
+        if n == k {
+            return None;
+        }
+        out.leaves[n] = l;
+        n += 1;
+    }
+    out.len = n as u8;
     Some(out)
 }
 
@@ -1510,6 +1544,7 @@ fn enumerate_full(mig: &Mig, k: usize, max_cuts: usize, rc: &mut RewriteCache) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mig_netlist::SplitMix64;
 
     fn three_inputs() -> (Mig, Signal, Signal, Signal) {
         let mut mig = Mig::new("t");
@@ -1841,5 +1876,176 @@ mod tests {
         // Degenerate: a leaf not strictly below the target.
         let map = vec![id(0, false), id(0, false), id(4, false), id(9, false)];
         assert!(translate_cut(&cut, &map, false, 9).is_none());
+    }
+
+    /// The three-way merge the enumerator used before it merged pairs
+    /// once: merges three sorted leaf sets into one, or `None` if the union
+    /// exceeds `k` leaves. The merged truth table is filled in by the
+    /// caller.
+    fn merge3(a: &Cut, b: &Cut, c: &Cut, k: usize) -> Option<Cut> {
+        let mut out = Cut::default();
+        for src in [a, b, c] {
+            for &l in src.leaves() {
+                let len = out.len as usize;
+                match out.leaves[..len].binary_search(&l) {
+                    Ok(_) => {}
+                    Err(pos) => {
+                        if len == k {
+                            return None;
+                        }
+                        out.leaves.copy_within(pos..len, pos + 1);
+                        out.leaves[pos] = l;
+                        out.len += 1;
+                    }
+                }
+            }
+        }
+        out.sign = out.leaves().iter().fold(0, |s, &l| s | leaf_sign(l));
+        Some(out)
+    }
+
+    /// The enumerator's triple loop before the pairwise merge and the
+    /// signature reject, kept as the lockstep reference.
+    fn reference_enumerate_node(
+        ctx: &EnumCtx,
+        idx: usize,
+        k: usize,
+        max_cuts: usize,
+        cand: &mut Vec<Cut>,
+    ) {
+        let stride = ctx.stride;
+        let [a, b, c] = ctx.view.children(NodeId::from_index(idx));
+        let (ia, ib, ic) = (a.node().index(), b.node().index(), c.node().index());
+        cand.clear();
+        for ca in 0..ctx.ncuts[ia] as usize {
+            let cut_a = ctx.cuts[ia * stride + ca];
+            for cb in 0..ctx.ncuts[ib] as usize {
+                let cut_b = ctx.cuts[ib * stride + cb];
+                for cc in 0..ctx.ncuts[ic] as usize {
+                    let cut_c = ctx.cuts[ic * stride + cc];
+                    let Some(mut cut) = merge3(&cut_a, &cut_b, &cut_c, k) else {
+                        continue;
+                    };
+                    if cand
+                        .iter()
+                        .any(|e| e.same_leaves(&cut) || e.dominates(&cut))
+                    {
+                        continue;
+                    }
+                    cand.retain(|e| !cut.dominates(e));
+                    let ta = expand_tt(cut_a.tt, cut_a.leaves(), cut.leaves())
+                        ^ if a.is_complemented() { 0xFFFF } else { 0 };
+                    let tb = expand_tt(cut_b.tt, cut_b.leaves(), cut.leaves())
+                        ^ if b.is_complemented() { 0xFFFF } else { 0 };
+                    let tc = expand_tt(cut_c.tt, cut_c.leaves(), cut.leaves())
+                        ^ if c.is_complemented() { 0xFFFF } else { 0 };
+                    cut.tt = ((ta & tb) | (ta & tc) | (tb & tc)) & tt_mask(cut.len as usize);
+                    cand.push(cut);
+                }
+            }
+        }
+        cand.sort_by_key(|c| Reverse(c.len));
+        cand.truncate(max_cuts);
+        cand.push(Cut::unit(idx));
+    }
+
+    /// Enumerates `mig` and checks every reachable gate's cut set
+    /// against the reference triple loop run on the same fanin cut
+    /// sets. Each node's cuts depend only on its fanins' cuts, so
+    /// node-by-node equality makes the whole enumeration identical.
+    /// Returns the number of non-unit cuts compared.
+    fn assert_enumeration_matches_reference(mig: &Mig, k: usize, max_cuts: usize) -> usize {
+        let mut rc = RewriteCache::default();
+        enumerate_for_test(mig, k, max_cuts, &mut rc);
+        let ctx = EnumCtx {
+            view: mig.view(),
+            cuts: &rc.cuts,
+            ncuts: &rc.ncuts,
+            stride: rc.stride,
+        };
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut compared = 0;
+        let mark = mig.reach_ref();
+        for node in mig.gate_ids() {
+            let i = node.index();
+            if !mark[i] {
+                continue;
+            }
+            enumerate_node(&ctx, i, k, max_cuts, &mut got);
+            reference_enumerate_node(&ctx, i, k, max_cuts, &mut want);
+            assert_eq!(
+                got,
+                want,
+                "{}: node {i}, k {k}, max_cuts {max_cuts}",
+                mig.name()
+            );
+            let stored = &rc.cuts[i * rc.stride..i * rc.stride + rc.ncuts[i] as usize];
+            assert_eq!(stored, &got[..], "{}: stored cuts of node {i}", mig.name());
+            compared += got.len() - 1;
+        }
+        compared
+    }
+
+    #[test]
+    fn pairwise_cut_merge_matches_the_triple_loop() {
+        let mut graphs: Vec<Mig> = ["alu4", "C1355", "count", "dalu", "my_adder", "cla"]
+            .iter()
+            .map(|name| Mig::from_network(&mig_benchgen::generate(name).expect("known benchmark")))
+            .collect();
+        let mut rng = SplitMix64::seed_from_u64(0xC075_0025);
+        for _ in 0..12 {
+            let inputs = rng.gen_range(3..12);
+            let gates = rng.gen_range(20..300);
+            let mut mig = Mig::new("random");
+            let mut pool: Vec<Signal> = (0..inputs)
+                .map(|i| mig.add_input(format!("i{i}")))
+                .collect();
+            pool.push(Signal::FALSE);
+            for _ in 0..gates {
+                let mut pick = || {
+                    let s = pool[rng.gen_range(0..pool.len())];
+                    s.complement_if(rng.gen_bool(0.5))
+                };
+                let (a, b, c) = (pick(), pick(), pick());
+                let g = mig.maj(a, b, c);
+                pool.push(g);
+            }
+            for (o, s) in pool.iter().rev().take(4).enumerate() {
+                mig.add_output(format!("o{o}"), *s);
+            }
+            graphs.push(mig);
+        }
+        let mut compared = 0;
+        for mig in &graphs {
+            for k in 2..=4 {
+                for max_cuts in 1..=8 {
+                    compared += assert_enumeration_matches_reference(mig, k, max_cuts);
+                }
+            }
+        }
+        assert!(compared > 10_000, "only {compared} cuts compared");
+    }
+
+    #[test]
+    fn merge2_respects_bound_and_signature() {
+        let a = Cut::unit(1);
+        let b = Cut::unit(33); // same signature bit as leaf 1
+        let c = Cut {
+            leaves: [3, 4, 5, 0],
+            len: 3,
+            tt: 0,
+            sign: leaf_sign(3) | leaf_sign(4) | leaf_sign(5),
+        };
+        let ab = merge2(&a, &b, 4).expect("2 leaves");
+        assert_eq!((ab.leaves(), ab.sign), (&[1, 33][..], leaf_sign(1)));
+        assert!(merge2(&ab, &c, 4).is_none(), "5 leaves > 4");
+        assert!(merge2(&a, &c, 3).is_none(), "4 leaves > 3, by signature");
+        assert!(
+            merge2(&ab, &Cut::unit(2), 2).is_none(),
+            "3 leaves > 2, past the signature"
+        );
+        let m = merge2(&c, &c, 4).expect("subset");
+        assert_eq!(m.leaves(), &[3, 4, 5]);
+        assert_eq!(m, merge3(&c, &c, &c, 4).expect("subset"));
     }
 }

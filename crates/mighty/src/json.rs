@@ -162,6 +162,18 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Take each run of plain bytes in one step. A run ends at an
+            // ASCII byte or at the end of input, and the input is a
+            // `&str`, so every run is whole UTF-8.
+            let start = self.pos;
+            while self.peek().is_some_and(is_plain) {
+                self.pos += 1;
+            }
+            if self.pos > start {
+                let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                    .map_err(|_| "invalid utf-8")?;
+                out.push_str(run);
+            }
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
@@ -182,13 +194,8 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
                             let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                                self.hex4(self.pos, "truncated \\u escape", "bad \\u escape")?;
                             self.pos += 4;
                             // Surrogate pairs: the protocol never emits
                             // them, but accept well-formed ones.
@@ -196,15 +203,15 @@ impl Parser<'_> {
                                 if self.bytes.get(self.pos) == Some(&b'\\')
                                     && self.bytes.get(self.pos + 1) == Some(&b'u')
                                 {
-                                    let lo = self
-                                        .bytes
-                                        .get(self.pos + 2..self.pos + 6)
-                                        .ok_or("truncated surrogate")?;
-                                    let lo =
-                                        std::str::from_utf8(lo).map_err(|_| "bad surrogate")?;
-                                    let lo =
-                                        u32::from_str_radix(lo, 16).map_err(|_| "bad surrogate")?;
+                                    let lo = self.hex4(
+                                        self.pos + 2,
+                                        "truncated surrogate",
+                                        "bad surrogate",
+                                    )?;
                                     self.pos += 6;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err("bad surrogate pair".into());
+                                    }
                                     let c = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(c).ok_or("bad surrogate pair")?
                                 } else {
@@ -220,18 +227,16 @@ impl Parser<'_> {
                         }
                     }
                 }
-                Some(b) if b < 0x20 => return Err("raw control character in string".into()),
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err("raw control character in string".into()),
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize, truncated: &str, bad: &str) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or(truncated)?;
+        let hex = std::str::from_utf8(hex).map_err(|_| bad)?;
+        u32::from_str_radix(hex, 16).map_err(|_| bad.into())
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, String> {
@@ -286,28 +291,47 @@ impl Parser<'_> {
     }
 }
 
+/// Whether byte `b` stands for itself inside a JSON string: everything
+/// except `"`, `\` and the control bytes below 0x20. Every byte of a
+/// multi-byte UTF-8 character is plain.
+fn is_plain(b: u8) -> bool {
+    b >= 0x20 && b != b'"' && b != b'\\'
+}
+
 /// Escapes `s` for embedding inside a JSON string literal (quotes not
 /// included). Verilog payloads ride through this, so newlines, quotes
-/// and control characters all round-trip.
+/// and control characters all round-trip. Runs of plain bytes are
+/// copied whole.
 pub fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Room for the escapes of a netlist: a newline every few dozen bytes.
+    let mut out = String::with_capacity(s.len() + s.len() / 8 + 2);
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if is_plain(b) {
+            continue;
+        }
+        // `b` is ASCII, so `i` is a character boundary.
+        out.push_str(&s[start..i]);
+        start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[start..]);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
+
+    use mig_netlist::SplitMix64;
 
     #[test]
     fn parses_protocol_shaped_requests() {
@@ -367,6 +391,8 @@ mod tests {
             "{} trailing",
             "\"\\q\"",
             "\"\\ud800\"",
+            "\"\\ud800\\u0041\"",
+            "\"\\udbff\\uffff\"",
             "nul",
             "--3",
         ] {
@@ -375,5 +401,249 @@ mod tests {
         // Depth bomb: must error, not blow the stack.
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    /// The char-at-a-time string scanner the codec used before it took
+    /// plain runs whole: it validated the rest of the input for every
+    /// plain character, O(n²) in the string. Kept as the lockstep
+    /// reference, verbatim but for one check: a high surrogate followed
+    /// by a `\u` escape outside DC00–DFFF is `bad surrogate pair`. The
+    /// old arithmetic underflowed there, a panic in debug builds and a
+    /// wrong character in release.
+    fn reference_string(p: &mut Parser) -> Result<String, String> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    let esc = p.peek().ok_or("unterminated escape")?;
+                    p.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = p
+                                .bytes
+                                .get(p.pos..p.pos + 4)
+                                .ok_or("truncated \\u escape")?;
+                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                            p.pos += 4;
+                            // Surrogate pairs: the protocol never emits
+                            // them, but accept well-formed ones.
+                            let ch = if (0xD800..0xDC00).contains(&code) {
+                                if p.bytes.get(p.pos) == Some(&b'\\')
+                                    && p.bytes.get(p.pos + 1) == Some(&b'u')
+                                {
+                                    let lo = p
+                                        .bytes
+                                        .get(p.pos + 2..p.pos + 6)
+                                        .ok_or("truncated surrogate")?;
+                                    let lo =
+                                        std::str::from_utf8(lo).map_err(|_| "bad surrogate")?;
+                                    let lo =
+                                        u32::from_str_radix(lo, 16).map_err(|_| "bad surrogate")?;
+                                    p.pos += 6;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err("bad surrogate pair".into());
+                                    }
+                                    let c = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
+                                    char::from_u32(c).ok_or("bad surrogate pair")?
+                                } else {
+                                    return Err("lone surrogate".into());
+                                }
+                            } else {
+                                char::from_u32(code).ok_or("bad \\u code point")?
+                            };
+                            out.push(ch);
+                        }
+                        other => {
+                            return Err(format!("bad escape `\\{}`", other as char));
+                        }
+                    }
+                }
+                Some(b) if b < 0x20 => return Err("raw control character in string".into()),
+                Some(_) => {
+                    // Consume one UTF-8 character (input is a &str, so
+                    // boundaries are valid).
+                    let rest =
+                        std::str::from_utf8(&p.bytes[p.pos..]).map_err(|_| "invalid utf-8")?;
+                    let ch = rest.chars().next().expect("non-empty");
+                    out.push(ch);
+                    p.pos += ch.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// The char-at-a-time escaper, kept as the lockstep reference.
+    fn reference_escape_str(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        for ch in s.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// One random piece of string-literal body: plain ASCII, 2-, 3- and
+    /// 4-byte UTF-8, every escape (surrogate pairs, lone and mismatched
+    /// surrogates, bad and truncated ones), raw control bytes, or the
+    /// closing quote, possibly with trailing data.
+    fn random_piece(rng: &mut SplitMix64, out: &mut String) {
+        const PLAIN: &[&str] = &[
+            "a",
+            "module m;",
+            " ",
+            "/",
+            "~",
+            "é",
+            "ß",
+            "€",
+            "中",
+            "😀",
+            "𝄞",
+        ];
+        const ESCAPES: &[&str] = &[
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\b",
+            "\\f",
+            "\\n",
+            "\\r",
+            "\\t",
+            "\\q",
+            "\\é",
+            "\\u0041",
+            "\\u00e9",
+            "\\u00E9",
+            "\\u20ac",
+            "\\u0000",
+            "\\u+041",
+            "\\u12",
+            "\\u12g4",
+            "\\ud83d\\ude00",
+            "\\uD834\\uDD1E",
+            "\\ud800",
+            "\\udc00",
+            "\\ud800\\u0041",
+            "\\udbff\\uffff",
+            "\\ud800\\udc",
+            "\\ud800\\n",
+            "\\ud800x",
+            "\\u00é",
+        ];
+        match rng.gen_range(0..100) {
+            0..=49 => out.push_str(PLAIN[rng.gen_range(0..PLAIN.len())]),
+            50..=59 => {
+                // Any scalar value, 1 to 4 bytes of UTF-8.
+                let hi = [0x80, 0x800, 0x10000, 0x110000][rng.gen_range(0..4)];
+                let c = loop {
+                    if let Some(c) = char::from_u32(rng.gen_range(0x20..hi) as u32) {
+                        break c;
+                    }
+                };
+                out.push(c);
+            }
+            60..=89 => out.push_str(ESCAPES[rng.gen_range(0..ESCAPES.len())]),
+            90..=95 => out.push(char::from(rng.gen_range(0..0x20) as u8)),
+            96..=97 => out.push('"'),
+            _ => out.push_str("\"\\"),
+        }
+    }
+
+    #[test]
+    fn string_scanner_matches_the_char_at_a_time_reference() {
+        let mut rng = SplitMix64::seed_from_u64(0x5EED_0025);
+        let (mut ok, mut err) = (0, 0);
+        for _ in 0..20_000 {
+            let mut text = String::from("\"");
+            for _ in 0..rng.gen_range(0..24) {
+                random_piece(&mut rng, &mut text);
+            }
+            if rng.gen_bool(0.7) {
+                text.push('"');
+            }
+            let mut new = Parser {
+                bytes: text.as_bytes(),
+                pos: 0,
+            };
+            let mut old = Parser {
+                bytes: text.as_bytes(),
+                pos: 0,
+            };
+            let got = new.string();
+            let want = reference_string(&mut old);
+            assert_eq!(got, want, "on {text:?}");
+            if got.is_ok() {
+                assert_eq!(new.pos, old.pos, "on {text:?}");
+                ok += 1;
+            } else {
+                err += 1;
+            }
+        }
+        // Both outcomes are well represented.
+        assert!(ok > 2_000 && err > 2_000, "{ok} accepted, {err} rejected");
+    }
+
+    #[test]
+    fn escape_matches_the_reference_and_round_trips() {
+        let mut rng = SplitMix64::seed_from_u64(0xE5C_0025);
+        for _ in 0..5_000 {
+            let mut s = String::new();
+            for _ in 0..rng.gen_range(0..32) {
+                let hi = [0x20, 0x80, 0x800, 0x10000, 0x110000][rng.gen_range(0..5)];
+                match rng.gen_range(0..4) {
+                    0 => s.push(['"', '\\', '\n', '\r', '\t'][rng.gen_range(0..5)]),
+                    _ => {
+                        if let Some(c) = char::from_u32(rng.gen_range(0..hi) as u32) {
+                            s.push(c);
+                        }
+                    }
+                }
+            }
+            let escaped = escape_str(&s);
+            assert_eq!(escaped, reference_escape_str(&s), "on {s:?}");
+            let wire = format!("\"{escaped}\"");
+            assert_eq!(Json::parse(&wire), Ok(Json::Str(s)));
+        }
+    }
+
+    #[test]
+    fn a_4_mib_string_parses_in_linear_time() {
+        // The reference scanner needs minutes for this; a linear one
+        // takes milliseconds even unoptimized.
+        let line = "  assign w17 = (a & b) | \"é€😀\" ;\n";
+        let mut netlist = String::new();
+        while netlist.len() < 4 << 20 {
+            netlist.push_str(line);
+        }
+        let wire = format!("{{\"id\": 1, \"netlist\": \"{}\"}}", escape_str(&netlist));
+        let start = Instant::now();
+        let v = Json::parse(&wire).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.get_str("netlist"), Some(netlist.as_str()));
+        assert!(took < Duration::from_secs(5), "4 MiB parsed in {took:?}");
     }
 }

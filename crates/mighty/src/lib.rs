@@ -312,8 +312,9 @@ pub fn run_flow_with(
 /// with a per-stage observer.
 ///
 /// This is the entry point of a `mighty serve` worker: the worker keeps
-/// one context alive across jobs (arena pool and rewrite cache survive,
-/// so later jobs skip the warm-up allocations) and
+/// one context alive across jobs (the buffers of the arena pool and the
+/// rewrite cache are reused, so later jobs skip the warm-up
+/// allocations; their contents start cold at each pass) and
 /// streams every executed stage to the client as it lands in the
 /// wall-time ledger. Context reuse never changes results — caches are
 /// stamp-keyed and arenas wiped on reuse — so the outcome is

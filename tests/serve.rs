@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mig_core::Flow;
 use mig_mighty::json::{escape_str, Json};
@@ -321,6 +321,51 @@ fn oversized_request_line_is_rejected_and_the_server_survives() {
     let mut fresh = Client::connect(addr);
     fresh.send("{\"op\": \"ping\"}");
     assert_eq!(fresh.recv().get_str("type"), Some("pong"));
+    server.shutdown();
+    assert!(server.wait());
+}
+
+#[test]
+fn a_4_mib_netlist_string_is_answered_promptly() {
+    // The request codec takes each run of plain bytes in one step; a
+    // scanner that revalidated the rest of the line per character would
+    // hold this connection for minutes.
+    let server = start(1, 0);
+    let addr = server.addr();
+    let mut client = Client::connect(addr);
+    let limit = Some(Duration::from_secs(10));
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(limit)
+        .expect("timeout");
+    // Not Verilog (no module keyword) and no benchmark name: an input error.
+    let mut netlist = String::new();
+    while netlist.len() < 4 << 20 {
+        netlist.push_str("assign w = a & b; \"é€\"\t\n");
+    }
+    let started = Instant::now();
+    client.send(&format!(
+        "{{\"id\": 9, \"netlist\": \"{}\"}}",
+        escape_str(&netlist)
+    ));
+    // Another connection is served meanwhile.
+    let mut other = Client::connect(addr);
+    other
+        .reader
+        .get_ref()
+        .set_read_timeout(limit)
+        .expect("timeout");
+    other.send("{\"op\": \"ping\"}");
+    assert_eq!(other.recv().get_str("type"), Some("pong"));
+    let v = client.recv();
+    let took = started.elapsed();
+    assert_eq!(v.get_str("type"), Some("error"));
+    assert_eq!(v.get_num("id"), Some(9.0));
+    assert_eq!(v.get_num("exit_code"), Some(3.0));
+    let message = v.get_str("message").expect("message");
+    assert!(message.ends_with("is neither Verilog text nor a known benchmark"));
+    assert!(took < Duration::from_secs(10), "answered after {took:?}");
     server.shutdown();
     assert!(server.wait());
 }
