@@ -60,7 +60,7 @@ use super::{Cost, Objective, OptBuffers};
 use crate::mig::MigView;
 use crate::scratch::ScratchPool;
 use crate::{Mig, NodeId, Signal};
-use mig_tt::{npn4_canonize, MigDatabase, MigProgram, Npn4Transform};
+use mig_tt::{extend4, npn4_canonize, tt_mask, MigDatabase, MigProgram, Npn4Transform};
 
 /// Hard cap on evaluate-phase worker threads.
 const MAX_JOBS: usize = 16;
@@ -152,14 +152,6 @@ impl Cut {
     }
 }
 
-fn tt_mask(len: usize) -> u16 {
-    if len >= 4 {
-        0xFFFF
-    } else {
-        ((1u32 << (1 << len)) - 1) as u16
-    }
-}
-
 /// Expands `tt` over the `from` leaves onto the superset `to` leaves.
 fn expand_tt(tt: u16, from: &[u32], to: &[u32]) -> u16 {
     let mut pos = [0usize; 4];
@@ -179,16 +171,6 @@ fn expand_tt(tt: u16, from: &[u32], to: &[u32]) -> u16 {
         }
     }
     out
-}
-
-/// Repeats a `len`-variable table up to the full 4-variable width (the
-/// added variables are don't-cares).
-fn extend4(tt: u16, len: usize) -> u16 {
-    let mut t = tt & tt_mask(len);
-    for k in len..4 {
-        t |= t << (1u32 << k);
-    }
-    t
 }
 
 /// Outcome of simulating one database instruction against the snapshot
@@ -1831,13 +1813,6 @@ mod tests {
         assert_eq!(m.leaves(), &[1, 2]);
         let m = merge3(&c, &c, &c, 4).expect("subset");
         assert_eq!(m.leaves(), &[3, 4, 5]);
-    }
-
-    #[test]
-    fn extend4_repeats_pattern() {
-        assert_eq!(extend4(0b10, 1), 0xAAAA);
-        assert_eq!(extend4(0b1000, 2), 0x8888);
-        assert_eq!(extend4(1, 0), 0xFFFF);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::Mig;
 
 /// SplitMix64 seed of the random half of [`Mig::equiv`]. It differs from
-/// the netlist-level check's seed (`mig_sim::equivalent_random`), so the
+/// the seed of the netlist-level check (`mig_sim::equivalent`), so the
 /// MIG-level and netlist-level verdicts of one run test different
 /// patterns.
 const EQUIV_SEED: u64 = 0x243F_6A88_85A3_08D3;

@@ -5,94 +5,16 @@
 //! import → cleanup → flow → verify path as `mighty opt` (its ledger
 //! holds the flow's passes only, never the `cleanup` stage), timing
 //! every executed pass via the pass manager's wall-time ledger, and
-//! serializes the result as `BENCH_opt.json` in a stable schema so
-//! successive PRs accumulate a performance trajectory (compare the
-//! committed file against a fresh run to spot regressions).
+//! serializes the result as `BENCH_opt.json` in the stable
+//! `mig-bench/v8` schema so successive PRs accumulate a performance
+//! trajectory. `DESIGN.md` §7 documents the schema and its history, and
+//! `crates/mighty/tests/bench_gates.rs` holds every gate over it.
 //!
-//! The schema (`mig-bench/v8`, documented in `DESIGN.md` §7/§10; v2
-//! added the cut-based Boolean `rewrite` pass between `size` and
-//! `depth`; v3 added the top-level `threads` field recording the rewrite
-//! engine's resolved evaluate-phase worker count; v4 added the top-level
-//! `flow` field with the canonical flow script and derives the `passes`
-//! array from the pass-manager ledger, so arbitrary flows — repeated
-//! passes included — serialize naturally; v5 technology-maps every
-//! optimized result onto both stock libraries and adds the per-benchmark
-//! `mapped`/`mapped_nomaj` objects plus the totals' mapped-area sums;
-//! v6 additionally runs the equality-saturation head-to-head — the
-//! committed [`ESAT_FLOW`] against the strongest esat-free reference
-//! [`ESAT_REF_FLOW`] — and records the per-benchmark `esat` object plus
-//! the totals' `esat_size`/`esat_ref_size` sums; v7 adds suite
-//! selection — the 100k–1M-node large tier ([`LARGE_FLOW`], skipping
-//! the mapping/esat stages that exist for MCNC-scale comparison) — and
-//! serializes its records in a top-level `large` array with wall time
-//! per pass and a memory footprint (arena/strash/cut-cache bytes plus
-//! peak RSS). The `suite` field names what ran (`mcnc14`,
-//! `large4` or `mcnc14+large4`); every MCNC-tier field of v6
-//! serializes byte-identically, so the committed trajectory's MCNC
-//! records never regenerate. A pass entry additionally carries an
-//! `"outcome"` key when — and only when — the pass manager degraded it
-//! (`rolled_back` / `timed_out` / `skipped`), so a healthy run's JSON
-//! carries no outcome noise; v8 allowed an optional top-level `serve`
-//! block, which nothing writes any more — the server is measured by
-//! the benchmark package's `serve_mix` workload):
-//!
-//! ```json
-//! {
-//!   "schema": "mig-bench/v8",
-//!   "suite": "mcnc14",
-//!   "mode": "full",
-//!   "flow": "size; rewrite; depth; activity",
-//!   "esat_flow": "size; rewrite*; depth_rewrite; rewrite*; size; esat*; rewrite*; size",
-//!   "esat_ref_flow": "size; rewrite*; depth_rewrite; rewrite*; size",
-//!   "effort": 4,
-//!   "threads": 1,
-//!   "benchmarks": [
-//!     {
-//!       "name": "alu4", "inputs": 14, "outputs": 8,
-//!       "import": {"size": 151, "depth": 16, "activity": 29.03},
-//!       "passes": [
-//!         {"pass": "size", "size": 83, "depth": 14,
-//!          "activity": 18.1, "millis": 12.3},
-//!         {"pass": "rewrite", "size": 79, "depth": 14,
-//!          "activity": 17.8, "millis": 9.0}
-//!       ],
-//!       "equiv": true, "size_ok": true,
-//!       "mapped": {"library": "cmos22", "cells": 117, "area": 50.715,
-//!                  "delay": 0.2795, "power": 57.30, "equiv": true},
-//!       "mapped_nomaj": {"library": "cmos22-nomaj", "cells": 173,
-//!                        "area": 57.232, "delay": 0.3620,
-//!                        "power": 63.80, "equiv": true},
-//!       "esat": {"size": 97, "depth": 12, "ref_size": 99, "ref_depth": 12,
-//!                "millis": 120.0, "ref_millis": 80.0, "equiv": true},
-//!       "total_millis": 40.1
-//!     }
-//!   ],
-//!   "large": [
-//!     {
-//!       "name": "mul_100k", "inputs": 224, "outputs": 224,
-//!       "import": {"size": 99457, "depth": 662},
-//!       "passes": [
-//!         {"pass": "size", "size": 99457, "depth": 662, "millis": 301.0}
-//!       ],
-//!       "equiv": true, "size_ok": true,
-//!       "mem": {"arena_bytes": 1597440, "strash_slots": 262144,
-//!               "strash_bytes": 4194304, "cache_entries": 795656,
-//!               "peak_rss_bytes": 734003200},
-//!       "total_millis": 1060.0
-//!     }
-//!   ],
-//!   "totals": {"benchmarks": 14, "millis": 400.0,
-//!              "size_before": 1000, "size_after": 800,
-//!              "mapped_area": 700.0, "mapped_nomaj_area": 800.0,
-//!              "esat_size": 790, "esat_ref_size": 805,
-//!              "all_ok": true}
-//! }
-//! ```
-//!
-//! The `large` array (and the constant `large_flow` line) appear only
-//! when the large tier ran, so an MCNC-only run's JSON stays free of
-//! machine-volatile fields (`peak_rss_bytes` varies run to run even on
-//! one machine; the CI bit-identity gates strip the `large` block).
+//! A pass entry carries an `"outcome"` key only when the pass manager
+//! degraded it (`rolled_back` / `timed_out` / `skipped`). The `large`
+//! array and the `large_flow` line appear only when the large tier ran,
+//! so an MCNC-only run's JSON stays free of machine-volatile fields
+//! (`peak_rss_bytes` varies run to run even on one machine).
 //!
 //! Numbers are written with enough precision to diff; wall times are
 //! machine-dependent and meant for *relative* comparison on one machine.
@@ -768,9 +690,9 @@ pub fn to_json(report: &BenchReport) -> String {
         });
     }
     s.push_str("  ],\n");
-    // The large tier serializes as its own top-level block so the CI
-    // bit-identity gates can strip it with a line-range delete (its
-    // `peak_rss_bytes` and wall times are machine-volatile).
+    // The large tier serializes as its own top-level block, which the
+    // bit-identity gates leave out (its `peak_rss_bytes` and wall times
+    // are machine-volatile).
     if !report.large.is_empty() {
         let _ = writeln!(s, "  \"large_flow\": \"{}\",", report.large_flow);
         s.push_str("  \"large\": [\n");

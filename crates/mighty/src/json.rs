@@ -232,11 +232,13 @@ impl Parser<'_> {
         }
     }
 
-    /// The four hex digits of a `\u` escape starting at byte `at`.
+    /// The four hex digits of a `\u` escape starting at byte `at`. Only
+    /// ASCII hex digits count: `from_str_radix` would also take a sign.
     fn hex4(&self, at: usize, truncated: &str, bad: &str) -> Result<u32, String> {
         let hex = self.bytes.get(at..at + 4).ok_or(truncated)?;
-        let hex = std::str::from_utf8(hex).map_err(|_| bad)?;
-        u32::from_str_radix(hex, 16).map_err(|_| bad.into())
+        hex.iter()
+            .try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?))
+            .ok_or_else(|| bad.into())
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, String> {
@@ -375,6 +377,12 @@ mod tests {
             Json::parse(r#""\ud83d\ude00""#).unwrap(),
             Json::Str("😀".to_string())
         );
+        // Four hex digits, no sign.
+        assert_eq!(Json::parse(r#""\u+041""#), Err("bad \\u escape".into()));
+        assert_eq!(
+            Json::parse(r#""\ud800\u+c00""#),
+            Err("bad surrogate".into())
+        );
     }
 
     #[test]
@@ -406,10 +414,11 @@ mod tests {
     /// The char-at-a-time string scanner the codec used before it took
     /// plain runs whole: it validated the rest of the input for every
     /// plain character, O(n²) in the string. Kept as the lockstep
-    /// reference, verbatim but for one check: a high surrogate followed
-    /// by a `\u` escape outside DC00–DFFF is `bad surrogate pair`. The
+    /// reference, verbatim but for two checks. A high surrogate followed
+    /// by a `\u` escape outside DC00–DFFF is `bad surrogate pair`: the
     /// old arithmetic underflowed there, a panic in debug builds and a
-    /// wrong character in release.
+    /// wrong character in release. And a `\u` escape needs four ASCII
+    /// hex digits: `from_str_radix` alone took `"\u+041"` as `"A"`.
     fn reference_string(p: &mut Parser) -> Result<String, String> {
         p.expect(b'"')?;
         let mut out = String::new();
@@ -439,6 +448,9 @@ mod tests {
                                 .get(p.pos..p.pos + 4)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                            if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                                return Err("bad \\u escape".into());
+                            }
                             let code =
                                 u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             p.pos += 4;
@@ -454,6 +466,9 @@ mod tests {
                                         .ok_or("truncated surrogate")?;
                                     let lo =
                                         std::str::from_utf8(lo).map_err(|_| "bad surrogate")?;
+                                    if !lo.bytes().all(|b| b.is_ascii_hexdigit()) {
+                                        return Err("bad surrogate".into());
+                                    }
                                     let lo =
                                         u32::from_str_radix(lo, 16).map_err(|_| "bad surrogate")?;
                                     p.pos += 6;

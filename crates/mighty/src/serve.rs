@@ -109,6 +109,10 @@ pub mod exit_code {
 /// more than this.
 pub const MAX_REQUEST_LINE: usize = 64 << 20;
 
+/// Longest prefix of a rejected `netlist` value that its error line
+/// echoes, in bytes, so a bad request never comes back at full size.
+const MAX_ECHO: usize = 64;
+
 /// Server configuration (the `mighty serve` flags).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -634,10 +638,14 @@ fn parse_job(value: &Json, id: &str, out: mpsc::Sender<String>) -> Result<Job, (
     let net = if spec.contains("module") {
         parse_verilog(spec).map_err(|e| (exit_code::INPUT, format!("verilog: {e}")))?
     } else {
-        mig_benchgen::generate(spec).ok_or((
-            exit_code::INPUT,
-            format!("`{spec}` is neither Verilog text nor a known benchmark"),
-        ))?
+        mig_benchgen::generate(spec).ok_or_else(|| {
+            // Cut on a char boundary; `…` marks a cut.
+            let end = spec.floor_char_boundary(MAX_ECHO);
+            let cut = if end < spec.len() { "…" } else { "" };
+            let echo = &spec[..end];
+            let message = format!("`{echo}{cut}` is neither Verilog text nor a known benchmark");
+            (exit_code::INPUT, message)
+        })?
     };
     let flow_script = value.get_str("flow").unwrap_or("size");
     let flow = Flow::parse(flow_script).map_err(|e| (exit_code::USAGE, format!("flow: {e}")))?;

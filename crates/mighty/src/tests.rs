@@ -218,10 +218,7 @@ fn json_has_stable_schema_fields() {
     }
     // An MCNC-only run must carry no machine-volatile large block.
     assert!(!json.contains("\"large\""), "unexpected large block");
-    // Must be balanced-brace JSON (cheap structural sanity check).
-    let opens = json.matches(['{', '[']).count();
-    let closes = json.matches(['}', ']']).count();
-    assert_eq!(opens, closes, "unbalanced JSON");
+    json::Json::parse(&json).expect("valid JSON");
 }
 
 #[test]
@@ -259,9 +256,7 @@ fn large_tier_records_scaling_evidence() {
     ] {
         assert!(json.contains(field), "missing {field} in:\n{json}");
     }
-    let opens = json.matches(['{', '[']).count();
-    let closes = json.matches(['}', ']']).count();
-    assert_eq!(opens, closes, "unbalanced JSON");
+    json::Json::parse(&json).expect("valid JSON");
     assert!(render_table(&report).contains("large my_adder"));
 }
 

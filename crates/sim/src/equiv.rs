@@ -69,20 +69,13 @@ pub fn equivalent_exhaustive(a: &Network, b: &Network) -> bool {
     output_truth_tables(a) == output_truth_tables(b)
 }
 
-/// Random equivalence check with `64 × rounds` patterns (seeded,
-/// deterministic). Can only disprove equivalence.
-///
-/// # Panics
-///
-/// Panics if interfaces differ.
-pub fn equivalent_random(a: &Network, b: &Network, rounds: usize) -> bool {
-    equivalent_seeded(a, b, rounds, 0x5EED_CAFE)
-}
+/// SplitMix64 seed of the random half of [`equivalent`].
+const SEED: u64 = 0x5EED_CAFE;
 
-/// [`equivalent_random`] with a caller-chosen SplitMix64 seed, so
-/// repeated spot checks of the same pair (e.g. the pass manager's
-/// post-pass `--selfcheck`) can draw fresh pattern sets instead of
-/// re-testing the identical 64 × `rounds` vectors.
+/// Random equivalence check with `64 × rounds` patterns drawn from
+/// `seed` (deterministic). Can only disprove equivalence. A caller that
+/// checks the same pair again, or beside [`equivalent`], passes its own
+/// seed to test different patterns.
 ///
 /// # Panics
 ///
@@ -125,7 +118,7 @@ pub fn equivalent(a: &Network, b: &Network, rounds: usize) -> bool {
     if a.num_inputs() <= 16 {
         equivalent_exhaustive(a, b)
     } else {
-        equivalent_random(a, b, rounds)
+        equivalent_seeded(a, b, rounds, SEED)
     }
 }
 
@@ -179,7 +172,7 @@ mod tests {
         )
         .expect("parses");
         assert!(equivalent_exhaustive(&n1, &n2));
-        assert!(equivalent_random(&n1, &n2, 4));
+        assert!(equivalent_seeded(&n1, &n2, 4, SEED));
     }
 
     #[test]
@@ -189,7 +182,7 @@ mod tests {
         let n2 = parse_verilog("module t(a,b,y); input a,b; output y; assign y = a | b; endmodule")
             .expect("parses");
         assert!(!equivalent_exhaustive(&n1, &n2));
-        assert!(!equivalent_random(&n1, &n2, 4));
+        assert!(!equivalent_seeded(&n1, &n2, 4, SEED));
     }
 
     #[test]
@@ -212,13 +205,13 @@ mod tests {
         )
         .expect("parses");
         assert!(!equivalent_exhaustive(&n1, &n3));
-        assert!(!equivalent_random(&n1, &n3, 4));
+        assert!(!equivalent_seeded(&n1, &n3, 4, SEED));
     }
 
     /// The pre-batching implementation: one 64-pattern word per input
     /// per round, one topological pass per round.
     fn reference_random(a: &Network, b: &Network, rounds: usize) -> bool {
-        let mut rng = SplitMix64::seed_from_u64(0x5EED_CAFE);
+        let mut rng = SplitMix64::seed_from_u64(SEED);
         for _ in 0..rounds {
             let words: Vec<u64> = (0..a.num_inputs()).map(|_| rng.next_u64()).collect();
             if crate::simulate(a, &words) != crate::simulate(b, &words) {
@@ -253,12 +246,12 @@ mod tests {
         // a multiple of it, and with 3- and 1-word tails.
         for rounds in [1, 3, 8, 11, 17] {
             assert_eq!(
-                equivalent_random(&full, &full.sweep(), rounds),
+                equivalent_seeded(&full, &full.sweep(), rounds, SEED),
                 reference_random(&full, &full.sweep(), rounds),
                 "equal pair, rounds={rounds}"
             );
             assert_eq!(
-                equivalent_random(&full, &partial, rounds),
+                equivalent_seeded(&full, &partial, rounds, SEED),
                 reference_random(&full, &partial, rounds),
                 "unequal pair, rounds={rounds}"
             );

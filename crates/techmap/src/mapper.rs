@@ -45,13 +45,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::design::{Instance, MappedDesign, NetId};
 use crate::library::CellLibrary;
 use mig_core::{enumerate_cuts, CutSet, MappedMetrics, Mig, TechModel};
-use mig_tt::{npn4_apply, npn4_canonize, Npn4Transform};
+use mig_tt::{cofactors4, extend4, npn4_apply, npn4_canonize, tt_mask, Npn4Transform, VAR4_TT};
 
 /// Slack tolerance for floating-point cost/arrival comparisons.
 const EPS: f64 = 1e-9;
-
-/// Projections of the four variables as packed 16-bit truth tables.
-const VAR_MASK: [u16; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
 
 /// What the mapper minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,31 +59,31 @@ pub enum MapGoal {
     Delay,
 }
 
+/// Cut width handed to the enumerator.
+const CUT_SIZE: usize = 4;
+
+/// Priority cuts kept per node.
+const MAX_CUTS: usize = 8;
+
+/// Most exact-area refinement sweeps (each is monotone, so more sweeps
+/// only help; returns diminish quickly).
+const REFINE_PASSES: usize = 3;
+
 /// Tuning knobs for [`map_mig`].
 #[derive(Debug, Clone)]
 pub struct MapConfig {
     /// The optimization goal (default [`MapGoal::Area`]).
     pub goal: MapGoal,
-    /// Cut width handed to the enumerator (clamped to 2..=4).
-    pub cut_size: usize,
-    /// Priority cuts kept per node (clamped to 1..=8).
-    pub max_cuts: usize,
     /// Run exact-area refinement after the forward pass (default on;
     /// off is only useful for measuring the refinement itself).
     pub refine: bool,
-    /// Number of refinement sweeps (each is monotone, so more sweeps
-    /// only help; returns diminish quickly).
-    pub refine_passes: usize,
 }
 
 impl Default for MapConfig {
     fn default() -> Self {
         MapConfig {
             goal: MapGoal::Area,
-            cut_size: 4,
-            max_cuts: 8,
             refine: true,
-            refine_passes: 3,
         }
     }
 }
@@ -102,35 +99,6 @@ impl MapConfig {
     }
 }
 
-/// All-ones mask for the low `2^len` bits of a packed truth table.
-fn tt_mask(len: usize) -> u16 {
-    if len >= 4 {
-        0xFFFF
-    } else {
-        ((1u32 << (1 << len)) - 1) as u16
-    }
-}
-
-/// Extends a `len`-variable table to 4 variables by replication (the
-/// added variables are don't-cares).
-fn extend4(tt: u16, len: usize) -> u16 {
-    let mut t = tt & tt_mask(len);
-    for k in len..4 {
-        t |= t << (1u32 << k);
-    }
-    t
-}
-
-/// Negative and positive cofactors of an extended table with respect to
-/// variable `v`, each again extended (independent of `v`).
-fn cofactors(f: u16, v: usize) -> (u16, u16) {
-    let m = VAR_MASK[v];
-    let s = 1u32 << v;
-    let hi = f & m;
-    let lo = f & !m;
-    (lo | (lo << s), hi | (hi >> s))
-}
-
 /// Compresses an extended table onto its support among the first `len`
 /// variables: returns `(ctt, clen, vars)` where `ctt` is the function
 /// over `clen` variables and compressed variable `k` is original
@@ -139,7 +107,7 @@ fn compress(f: u16, len: usize) -> (u16, usize, [u8; 4]) {
     let mut vars = [0u8; 4];
     let mut clen = 0;
     for v in 0..len {
-        let (n, p) = cofactors(f, v);
+        let (n, p) = cofactors4(f, v);
         if n != p {
             vars[clen] = v as u8;
             clen += 1;
@@ -433,7 +401,7 @@ impl<'a> Matcher<'a> {
         if f4 == 0xFFFF {
             return Some(ProgSrc::Const(true));
         }
-        for (v, &mask) in VAR_MASK.iter().enumerate().take(len) {
+        for (v, &mask) in VAR4_TT.iter().enumerate().take(len) {
             if f4 == mask {
                 return Some(ProgSrc::Pin(v as u8, false));
             }
@@ -473,7 +441,7 @@ impl<'a> Matcher<'a> {
         let (_, clen, vars) = compress(f4, len);
         debug_assert!(clen >= 2, "non-degenerate unmatched function");
         let v = vars[clen - 1] as usize;
-        let (h0, h1) = cofactors(f4, v);
+        let (h0, h1) = cofactors4(f4, v);
         if h1 == !h0 {
             // f = v ⊕ h0 — one XOR cell over the cofactor program.
             if let Some(xc) = self.shared.xor {
@@ -1153,14 +1121,14 @@ impl<'a> Cover<'a> {
 /// ```
 pub fn map_mig(mig: &Mig, library: &CellLibrary, config: &MapConfig) -> MappedDesign {
     mig_core::faultpoint!("techmap.map");
-    let cuts = enumerate_cuts(mig, config.cut_size, config.max_cuts);
+    let cuts = enumerate_cuts(mig, CUT_SIZE, MAX_CUTS);
     let mut matcher = Matcher::new(library);
     let mut cover = Cover::new(mig, library, config.goal);
     cover.build_candidates(&cuts, &mut matcher);
     cover.forward_select();
     cover.build_cover();
     if config.refine {
-        for _ in 0..config.refine_passes {
+        for _ in 0..REFINE_PASSES {
             let req = match config.goal {
                 MapGoal::Area => None,
                 MapGoal::Delay => Some(cover.required_times()),

@@ -38,8 +38,8 @@ mod truth_table;
 pub use factor::{factor_sop, FactoredForm};
 pub use isop::{isop, Cube, Sop};
 pub use mig_db::{
-    npn4_apply, npn4_canonize, npn4_class_representatives, MigDatabase, MigLit, MigProgram,
-    Npn4Transform, NUM_NPN4_CLASSES,
+    cofactors4, extend4, npn4_apply, npn4_canonize, npn4_class_representatives, tt_mask,
+    MigDatabase, MigLit, MigProgram, Npn4Transform, NUM_NPN4_CLASSES, VAR4_TT,
 };
 pub use npn::{npn_canonize, NpnTransform};
 pub use truth_table::TruthTable;

@@ -39,6 +39,36 @@ pub const EXACT_TREE_COST: u8 = 4;
 /// Truth table of variable `v` over 4 variables, as a packed `u16`.
 pub const VAR4_TT: [u16; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
 
+/// All-ones mask for the low `2^len` bits of a packed 4-variable truth
+/// table (`0xFFFF` from 4 variables up).
+#[inline]
+pub fn tt_mask(len: usize) -> u16 {
+    if len >= 4 {
+        0xFFFF
+    } else {
+        ((1u32 << (1 << len)) - 1) as u16
+    }
+}
+
+/// Extends a `len`-variable table to 4 variables by replication (the
+/// added variables are don't-cares).
+#[inline]
+pub fn extend4(tt: u16, len: usize) -> u16 {
+    let mut t = tt & tt_mask(len);
+    for k in len..4 {
+        t |= t << (1u32 << k);
+    }
+    t
+}
+
+/// Negative and positive cofactors of a 4-variable table with respect
+/// to variable `v`, each again a 4-variable table (independent of `v`).
+#[inline]
+pub fn cofactors4(f: u16, v: usize) -> (u16, u16) {
+    let (hi, lo) = (f & VAR4_TT[v], f & !VAR4_TT[v]);
+    (lo | (lo << (1 << v)), hi | (hi >> (1 << v)))
+}
+
 /// A recorded NPN transform over exactly 4 variables, specialized to
 /// packed `u16` truth tables (the cut-rewriting hot path).
 ///
@@ -353,16 +383,6 @@ fn maj16(a: u16, b: u16, c: u16) -> u16 {
     (a & b) | (a & c) | (b & c)
 }
 
-fn cof1_16(f: u16, v: usize) -> u16 {
-    let hi = f & VAR4_TT[v];
-    hi | (hi >> (1 << v))
-}
-
-fn cof0_16(f: u16, v: usize) -> u16 {
-    let lo = f & !VAR4_TT[v];
-    lo | (lo << (1 << v))
-}
-
 impl Builder {
     fn new() -> Self {
         let mut b = Builder {
@@ -464,8 +484,7 @@ impl Builder {
         }
         let mut best: Option<(u8, usize, u16, u16)> = None;
         for v in 0..4 {
-            let f0 = cof0_16(f, v);
-            let f1 = cof1_16(f, v);
+            let (f0, f1) = cofactors4(f, v);
             if f0 == f1 {
                 continue; // f does not depend on v
             }
@@ -639,6 +658,13 @@ mod tests {
             let (generic, _) = npn_canonize(&TruthTable::from_u64(4, tt as u64));
             assert_eq!(fast as u64, generic.as_u64(), "tt {tt:#06x}");
         }
+    }
+
+    #[test]
+    fn extend4_repeats_pattern() {
+        assert_eq!(extend4(0b10, 1), 0xAAAA);
+        assert_eq!(extend4(0b1000, 2), 0x8888);
+        assert_eq!(extend4(1, 0), 0xFFFF);
     }
 
     #[test]
